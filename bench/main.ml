@@ -651,19 +651,18 @@ let perf_snapshot () =
       Out_channel.with_open_text path9 (fun oc -> Out_channel.output_string oc json);
       Printf.printf "wrote %s\n" path9)
 
-(* --- compiled-engine perf bench -------------------------------------------------- *)
+(* --- replay-mode perf bench ------------------------------------------------------ *)
 
-(* Pins the payoff of the staged topology compiler: the pinned h2p-mix trace
-   replayed through the interpreted pipeline and the compiled engine for
-   each reference design, against the uarch core on the same workload.
-   Counters must be bit-identical between the engines (the conformance gate,
-   re-checked here over a multi-million-branch stream), and the compiled
-   engine must not fall below COBRA_BENCH_COMPILED_GATE_PCT percent
-   (default 80, i.e. "no regression below the interpreted baseline modulo
-   timer noise") of the interpreted throughput — in practice it is several
-   times faster. The PR10 targets are >=5x insns/sec over the BENCH_PR4
-   uarch numbers on the same designs and TAGE-L compiled replay >=10x the
-   uarch model. Emits BENCH_PR10.json (schema cobra-bench-compiled/1). *)
+(* Pins the payoff of the pipeline's closed-form replay transaction: the
+   pinned h2p-mix trace replayed with the reference transaction (the
+   "interpreted" side) and the closed form (the "compiled" side) for each
+   reference design, against the uarch core on the same workload. Counters
+   must be bit-identical between the two (the conformance gate, re-checked
+   here over a multi-million-branch stream), and the closed form must not
+   fall below COBRA_BENCH_COMPILED_GATE_PCT percent (default 80, i.e. "no
+   regression below the reference modulo timer noise") of the reference
+   throughput — in practice it is several times faster. Emits
+   BENCH_PR10.json (schema cobra-bench-compiled/1). *)
 
 let bench_json10_path () =
   Option.value (Sys.getenv_opt "COBRA_BENCH_JSON10") ~default:"BENCH_PR10.json"
@@ -759,7 +758,9 @@ let perf_compiled () =
         let a0 = Gc.allocated_bytes () in
         let res =
           timed
-            (Printf.sprintf "%s/%s" (Replay.engine_name engine) d.Designs.name)
+            (Printf.sprintf "%s/%s"
+               (match engine with `Interpreted -> "reference" | `Compiled -> "replay-mode")
+               d.Designs.name)
             (fun () -> Replay.run_design ~engine d ~path)
         in
         let da = Gc.allocated_bytes () -. a0 in
@@ -787,7 +788,7 @@ let perf_compiled () =
             if not (Replay.counters_equal res_i res_c) then
               failwith
                 (Printf.sprintf
-                   "perf_compiled: %s: compiled counters diverged from interpreted \
+                   "perf_compiled: %s: replay-mode counters diverged from the reference \
                     (%d/%d mispredicts/branches vs %d/%d)"
                    name res_c.Replay.mispredicts res_c.Replay.branches
                    res_i.Replay.mispredicts res_i.Replay.branches);
@@ -797,8 +798,8 @@ let perf_compiled () =
             then
               failwith
                 (Printf.sprintf
-                   "perf_compiled: %s: compiled engine at %.0f insns/s is below %d%% of \
-                    the interpreted baseline (%.0f insns/s)"
+                   "perf_compiled: %s: replay mode at %.0f insns/s is below %d%% of the \
+                    reference (%.0f insns/s)"
                    name side_c.es_insns_per_sec compiled_gate_pct side_i.es_insns_per_sec);
             {
               cs_design = name;

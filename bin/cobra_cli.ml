@@ -248,8 +248,8 @@ let replay_cmd =
       end
       else begin
         let res =
-          Cobra_trace_replay.Replay.run_design ?max_branches:branches ~max_insns:insns d
-            ~path
+          Cobra_trace_replay.Replay.run_design ?max_branches:branches ~max_insns:insns
+            ~engine:`Compiled d ~path
         in
         print_endline (Cobra_trace_replay.Replay.summary res);
         Ok ()
@@ -437,18 +437,7 @@ let conform_cmd =
                    Valid: %s."
                   (String.concat ", " Cobra_conformance.Fuzz.shape_names)))
   in
-  let engine_arg =
-    Arg.(value
-         & opt (enum [ ("both", `Both); ("compiled", `Compiled); ("interpreted", `Interpreted) ])
-             `Both
-         & info [ "engine" ] ~docv:"ENGINE"
-             ~doc:
-               "Which simulator engines to certify: $(b,interpreted) (golden-model lockstep, \
-                twin, replay, repair, snapshot), $(b,compiled) (staged-compiler vs \
-                interpreter differentials over every component and reference design), or \
-                $(b,both) (default).")
-  in
-  let run seed length artifact shapes engine =
+  let run seed length artifact shapes =
     let seed =
       match seed with
       | Some s -> s
@@ -464,7 +453,7 @@ let conform_cmd =
         try Ok (List.map Cobra_conformance.Fuzz.shape_of_name_exn names)
         with Failure m -> Error (`Msg m))
     in
-    let verdicts = Cobra_conformance.Crosscheck.run_all ~length ~shapes ~engine ~seed () in
+    let verdicts = Cobra_conformance.Crosscheck.run_all ~length ~shapes ~seed () in
     print_string (Cobra_conformance.Crosscheck.render verdicts);
     match Cobra_conformance.Crosscheck.counterexample verdicts with
     | None -> Ok ()
@@ -483,9 +472,8 @@ let conform_cmd =
        ~doc:
          "Cross-check every component against its pure-functional golden model (lockstep \
           fuzzing, storage accounting, twin-design differentials, repair-restores-state \
-          metamorphic checks, compiled-engine differentials, Table-I storage pins)")
-    Term.(
-      term_result (const run $ seed_arg $ length_arg $ artifact_arg $ shapes_arg $ engine_arg))
+          metamorphic checks, replay-mode lockstep, Table-I storage pins)")
+    Term.(term_result (const run $ seed_arg $ length_arg $ artifact_arg $ shapes_arg))
 
 (* --- serve ------------------------------------------------------------------- *)
 
@@ -558,6 +546,7 @@ let serve_cmd =
         Printf.eprintf "cobra serve: listening on %s (%d jobs)\n%!" socket cfg.Serve.jobs;
         (match Serve.serve cfg with
         | () -> Ok ()
+        | exception Failure m -> Error (`Msg m)
         | exception Unix.Unix_error (e, fn, arg) ->
           Error
             (`Msg (Printf.sprintf "%s(%s): %s" fn arg (Unix.error_message e))))

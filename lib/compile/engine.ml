@@ -1,219 +1,7 @@
-open Cobra
-module Bits = Cobra_util.Bits
-module Slab = Cobra_util.Slab
-module Hashing = Cobra_util.Hashing
+(** The compiled replay engine is {!Cobra.Pipeline}'s replay mode
+    ([Pipeline.replay_step]): an engine is a pipeline, elaborated once. This
+    name stays for callers that still spell it [Engine]. *)
 
-type t = {
-  plan : Plan.t;
-  emitted : Emit.t;
-  width : int;
-  depth : int;
-  correction : bool;
-  path_bits : int;
-  ghist_bits : int;
-  mutable ghist : Bits.t;
-  mutable phist : Bits.t;  (** provider-width [max 1 path_bits] register *)
-  phist_empty : Bits.t;  (** zero-width vector handed to contexts when disabled *)
-  lhist : Lhist_provider.t;
-  mutable next_token : int;
-  metas : Bits.t array;
-  lhists_buf : Bits.t array;
-  pred_slots : Types.resolved array;
-  eff_slots : Types.resolved array;
-  mutable last_taken_pred : bool;
-}
+type t = Cobra.Pipeline.t
 
-let create (cfg : Pipeline.config) topo =
-  let plan = Plan.build cfg topo in
-  let emitted = Emit.stage plan in
-  let width = cfg.Pipeline.fetch_width in
-  let lhist =
-    Lhist_provider.create ~entries:cfg.Pipeline.lhist_entries
-      ~bits:cfg.Pipeline.lhist_bits
-  in
-  (* Dead tail slots of the lhist context vector: the replay protocol pins
-     live_slots to 1, so slots past 0 read as all-zero history — the same
-     value the interpreter's lazy shared dead vector provides. *)
-  let lhist_dead = Bits.zero cfg.Pipeline.lhist_bits in
-  {
-    plan;
-    emitted;
-    width;
-    depth = plan.Plan.depth;
-    correction = cfg.Pipeline.predecode_history_correction;
-    path_bits = cfg.Pipeline.path_bits;
-    ghist_bits = cfg.Pipeline.ghist_bits;
-    ghist = Bits.zero cfg.Pipeline.ghist_bits;
-    phist = Bits.zero plan.Plan.path_width;
-    phist_empty = Bits.zero 0;
-    lhist;
-    next_token = 0;
-    metas = Array.make (Array.length plan.Plan.comps) (Bits.zero 0);
-    lhists_buf = Array.make width lhist_dead;
-    pred_slots = Array.make width Types.no_branch;
-    eff_slots = Array.make width Types.no_branch;
-    last_taken_pred = false;
-  }
-
-let config t = t.plan.Plan.cfg
-let plan t = t.plan
-let describe t = Plan.describe t.plan
-let last_taken_pred t = t.last_taken_pred
-let metas t = t.metas
-let next_token t = t.next_token
-let snapshot_cells t = t.plan.Plan.snapshot_cells
-
-(* Fold a taken branch's target into the path history — the closed form of
-   [Pipeline.path_bits_of_target] followed by the provider's oldest-first
-   shift-in of the expanded bit list (lowest folded bit first). *)
-let push_path t target =
-  let folded =
-    Hashing.fold_int (Hashing.pc_bits target) ~width:62
-      ~bits:Pipeline.path_bits_per_branch
-  in
-  for k = 0 to Pipeline.path_bits_per_branch - 1 do
-    t.phist <- Bits.shift_in_lsb t.phist ((folded lsr k) land 1 = 1)
-  done
-
-let culprit0 = Some 0
-
-let step t ~pc ~kind ~taken ~target =
-  t.lhists_buf.(0) <- Lhist_provider.read t.lhist ~pc;
-  let ctx =
-    Context.make ~pc ~fetch_width:t.width ~live_slots:1 ~ghist:t.ghist
-      ~lhists:t.lhists_buf
-      ~phist:(if t.path_bits = 0 then t.phist_empty else t.phist)
-      ()
-  in
-  let stages = t.emitted.Emit.eval ctx t.metas in
-  let final = stages.(t.depth - 1).(0) in
-  let taken_pred =
-    match final.Types.o_taken with Some b -> b | None -> Types.is_unconditional kind
-  in
-  let target_pred = match final.Types.o_target with Some v -> v | None -> -1 in
-  let known_target = target >= 0 in
-  let tgt = if known_target then target else 0 in
-  let wrong =
-    taken_pred <> taken
-    || taken
-       && Types.is_unconditional kind
-       && (not (Types.equal_branch_kind kind Types.Ret))
-       && known_target && target_pred <> target
-  in
-  let is_cond = match kind with Types.Cond -> true | _ -> false in
-  t.next_token <- t.next_token + 1;
-  (* Fused history update: the net effect of predict-time speculation,
-     fire-time predecode correction, the mispredict restore (when wrong)
-     and the immediate commit, collapsed per the protocol. *)
-  if t.correction then begin
-    (* Predecode rewrites the speculative bits from the true branch
-       positions, and a wrong conditional restores to the actual
-       direction; either way one [b_taken] bit lands per conditional. *)
-    if is_cond then begin
-      t.ghist <- Bits.shift_in_lsb t.ghist taken;
-      Lhist_provider.push t.lhist ~pc taken
-    end;
-    if t.path_bits > 0 && (if wrong then taken else taken_pred) then push_path t tgt
-  end
-  else begin
-    (* No predecode correction: the predict-time speculative bits (read off
-       the Fetch-1 composite's slot-0 opinion) commit unchanged on a right
-       prediction; a wrong one restores from the actual outcome. *)
-    if wrong then begin
-      if is_cond then begin
-        t.ghist <- Bits.shift_in_lsb t.ghist taken;
-        Lhist_provider.push t.lhist ~pc taken
-      end;
-      if t.path_bits > 0 && taken then push_path t tgt
-    end
-    else begin
-      let op = stages.(0).(0) in
-      let op_branch =
-        match op.Types.o_branch with Some true -> true | Some false | None -> false
-      in
-      let op_condish =
-        match op.Types.o_kind with None | Some Types.Cond -> true | Some _ -> false
-      in
-      let op_taken =
-        match op.Types.o_taken with Some true -> true | Some false | None -> false
-      in
-      if op_branch && op_condish then begin
-        t.ghist <- Bits.shift_in_lsb t.ghist op_taken;
-        Lhist_provider.push t.lhist ~pc op_taken
-      end;
-      if t.path_bits > 0 && op_branch && op_taken then
-        push_path t (match op.Types.o_target with Some v -> v | None -> 0)
-    end
-  end;
-  (* Event dispatch in component order: fire with the predicted outcomes,
-     then — on a wrong prediction — the culprit's fast mispredict update,
-     then commit-time training, all with the resolved outcome. *)
-  t.pred_slots.(0) <-
-    Types.resolved_branch ~kind ~taken:taken_pred ~target:(if taken_pred then tgt else 0);
-  t.eff_slots.(0) <- Types.resolved_branch ~kind ~taken ~target:tgt;
-  let comps = t.plan.Plan.comps in
-  let n = Array.length comps in
-  for i = 0 to n - 1 do
-    comps.(i).Component.fire
-      { Component.ctx; meta = t.metas.(i); slots = t.pred_slots; culprit = None }
-  done;
-  if wrong then
-    for i = 0 to n - 1 do
-      comps.(i).Component.mispredict
-        { Component.ctx; meta = t.metas.(i); slots = t.eff_slots; culprit = culprit0 }
-    done;
-  for i = 0 to n - 1 do
-    comps.(i).Component.update
-      { Component.ctx; meta = t.metas.(i); slots = t.eff_slots; culprit = None }
-  done;
-  t.last_taken_pred <- taken_pred;
-  wrong
-
-(* --- whole-design snapshots (Pipeline.snapshot layout) ------------------- *)
-
-let write_bits slab ~pos v =
-  let n = Bits.limb_count v in
-  for i = 0 to n - 1 do
-    Slab.set slab (pos + i) (Bits.get_limb v i)
-  done;
-  pos + n
-
-let read_bits slab ~pos ~width =
-  let n = Bits.limbs_for width in
-  let limbs = Array.init n (fun i -> Slab.get slab (pos + i)) in
-  (Bits.of_limbs ~width limbs, pos + n)
-
-let snapshot t =
-  let slab = Slab.create t.plan.Plan.snapshot_cells in
-  Slab.set slab 0 t.next_token;
-  let pos = ref 1 in
-  pos := write_bits slab ~pos:!pos t.ghist;
-  pos := write_bits slab ~pos:!pos t.phist;
-  for i = 0 to Lhist_provider.entries t.lhist - 1 do
-    pos := write_bits slab ~pos:!pos (Lhist_provider.nth t.lhist i)
-  done;
-  assert (!pos = t.plan.Plan.mgmt_cells);
-  t.emitted.Emit.snapshot_state slab;
-  slab
-
-let restore t slab =
-  let expect = t.plan.Plan.snapshot_cells in
-  if Slab.length slab <> expect then
-    invalid_arg
-      (Printf.sprintf "Engine.restore: snapshot has %d cells, engine needs %d"
-         (Slab.length slab) expect);
-  t.next_token <- Slab.get slab 0;
-  let pos = ref 1 in
-  let gh, p = read_bits slab ~pos:!pos ~width:t.ghist_bits in
-  pos := p;
-  t.ghist <- gh;
-  let ph, p = read_bits slab ~pos:!pos ~width:t.plan.Plan.path_width in
-  pos := p;
-  t.phist <- ph;
-  let lw = Lhist_provider.bits t.lhist in
-  for i = 0 to Lhist_provider.entries t.lhist - 1 do
-    let v, p = read_bits slab ~pos:!pos ~width:lw in
-    pos := p;
-    Lhist_provider.set_nth t.lhist i v
-  done;
-  t.emitted.Emit.restore_state slab
+let create = Cobra.Pipeline.create

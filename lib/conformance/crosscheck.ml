@@ -143,46 +143,14 @@ let storage_accounting (packed : Golden.packed) =
       (Printf.sprintf "component declares %d storage bits, independent formula gives %d"
          actual storage_bits)
 
-(* --- software-model step driver ------------------------------------------------ *)
+(* --- replay-protocol step driver ------------------------------------------------ *)
 
-(* [drive] plus the per-component metadata words, read from the history-file
-   entry between fire and commit — the window where the interpreted pipeline
-   still holds them. The compiled engine exposes the same array through
-   [Engine.metas]. *)
-let drive_with_metas pl ~width (b : Fuzz.branch) =
-  let tok = Pipeline.predict pl ~pc:b.Fuzz.br_pc ~max_len:1 in
-  let stages = Pipeline.stages pl tok in
-  let final = (stages.(Array.length stages - 1)).(0) in
-  let taken_pred =
-    match final.Types.o_taken with
-    | Some t -> t
-    | None -> Types.is_unconditional b.Fuzz.br_kind
-  in
-  let target_pred = Option.value final.Types.o_target ~default:(-1) in
+let drive pl (b : Fuzz.branch) =
   let wrong =
-    taken_pred <> b.Fuzz.br_taken
-    || (b.Fuzz.br_taken
-       && Types.is_unconditional b.Fuzz.br_kind
-       && b.Fuzz.br_kind <> Types.Ret
-       && target_pred <> b.Fuzz.br_target)
+    Pipeline.reference_step pl ~pc:b.Fuzz.br_pc ~kind:b.Fuzz.br_kind ~taken:b.Fuzz.br_taken
+      ~target:b.Fuzz.br_target
   in
-  let slots = Array.make width Types.no_branch in
-  slots.(0) <-
-    Types.resolved_branch ~kind:b.Fuzz.br_kind ~taken:taken_pred
-      ~target:(if taken_pred then b.Fuzz.br_target else 0);
-  let seq = Pipeline.fire pl tok ~slots ~packet_len:1 in
-  let metas = Array.copy (Pipeline.entry pl seq).History_file.e_metas in
-  let actual =
-    Types.resolved_branch ~kind:b.Fuzz.br_kind ~taken:b.Fuzz.br_taken ~target:b.Fuzz.br_target
-  in
-  if wrong then Pipeline.mispredict pl ~seq ~slot:0 actual
-  else Pipeline.resolve pl ~seq ~slot:0 actual;
-  Pipeline.commit pl;
-  (taken_pred, wrong, metas)
-
-let drive pl ~width (b : Fuzz.branch) =
-  let taken_pred, wrong, _metas = drive_with_metas pl ~width b in
-  (taken_pred, wrong)
+  (Pipeline.last_taken_pred pl, wrong)
 
 (* --- twin-design differential --------------------------------------------------- *)
 
@@ -194,14 +162,13 @@ let twin ?(length = 400) ~seed (design : Designs.t) =
   | golden ->
     let p_real = Designs.pipeline design in
     let p_gold = Designs.pipeline golden in
-    let width = design.Designs.pipeline_config.Pipeline.fetch_width in
     let bs = Fuzz.branches { Fuzz.seed; shape = Fuzz.Mixed; length } in
     let bad = ref None in
     List.iteri
       (fun i b ->
         if !bad = None then begin
-          let tp_r, w_r = drive p_real ~width b in
-          let tp_g, w_g = drive p_gold ~width b in
+          let tp_r, w_r = drive p_real b in
+          let tp_g, w_g = drive p_gold b in
           if tp_r <> tp_g || w_r <> w_g then
             bad :=
               Some
@@ -256,11 +223,10 @@ let replay_twin ?(length = 400) ~seed (design : Designs.t) =
     (* the conformance step driver over a fresh real pipeline and the golden twin *)
     let p_ref = Designs.pipeline design in
     let p_gold = Designs.pipeline golden in
-    let width = design.Designs.pipeline_config.Pipeline.fetch_width in
     (* arrays, not lists: per-branch List.nth here made the comparison loop
        quadratic in the stream length *)
-    let ref_obs = Array.of_list (List.map (drive p_ref ~width) bs) in
-    let gold_obs = Array.of_list (List.map (drive p_gold ~width) bs) in
+    let ref_obs = Array.of_list (List.map (drive p_ref) bs) in
+    let gold_obs = Array.of_list (List.map (drive p_gold) bs) in
     let n_replay = Array.length replay_obs in
     if n_replay <> length
        || Array.length ref_obs <> length
@@ -340,17 +306,13 @@ let repair_restore ?(length = 400) ~seed (design : Designs.t) =
           done;
           Pipeline.squash_all_pending p_dirty
         end;
-        let tp_c, _ = drive p_clean ~width b in
+        let tp_c, _ = drive p_clean b in
         (* dirty side, driven by hand so a fired wrong-path youngster can be
            injected ahead of a misprediction and unwound by the repair walk *)
         let tok = Pipeline.predict p_dirty ~pc:b.Fuzz.br_pc ~max_len:1 in
         let stages = Pipeline.stages p_dirty tok in
         let final = (stages.(Array.length stages - 1)).(0) in
-        let tp_d =
-          match final.Types.o_taken with
-          | Some t -> t
-          | None -> Types.is_unconditional b.Fuzz.br_kind
-        in
+        let tp_d = Pipeline.predicted_taken ~kind:b.Fuzz.br_kind final in
         if tp_c <> tp_d then
           bad :=
             Some
@@ -359,13 +321,9 @@ let repair_restore ?(length = 400) ~seed (design : Designs.t) =
                   pipeline predicts taken=%b (replay: cobra conform --seed %d)"
                  i length b.Fuzz.br_pc seed tp_c tp_d seed)
         else begin
-          let target_pred = Option.value final.Types.o_target ~default:(-1) in
           let wrong =
-            tp_d <> b.Fuzz.br_taken
-            || (b.Fuzz.br_taken
-               && Types.is_unconditional b.Fuzz.br_kind
-               && b.Fuzz.br_kind <> Types.Ret
-               && target_pred <> b.Fuzz.br_target)
+            Pipeline.mispredicted ~kind:b.Fuzz.br_kind ~taken:b.Fuzz.br_taken
+              ~target:b.Fuzz.br_target final
           in
           let inject = wrong && Rng.chance rng 0.5 in
           let wtok =
@@ -417,12 +375,11 @@ let repair_restore ?(length = 400) ~seed (design : Designs.t) =
 let snapshot_roundtrip ?(length = 400) ~seed (design : Designs.t) =
   let check = "snapshot" in
   let subject = design.Designs.name in
-  let width = design.Designs.pipeline_config.Pipeline.fetch_width in
   let bs = Array.of_list (Fuzz.branches { Fuzz.seed; shape = Fuzz.Mixed; length }) in
   let half = length / 2 in
   let p = Designs.pipeline design in
   for i = 0 to half - 1 do
-    ignore (drive p ~width bs.(i))
+    ignore (drive p bs.(i))
   done;
   let slab = Pipeline.snapshot p in
   (* a fresh pipeline restored from the slab must shadow the original
@@ -433,8 +390,8 @@ let snapshot_roundtrip ?(length = 400) ~seed (design : Designs.t) =
   for i = half to length - 1 do
     if !bad = None then begin
       let b = bs.(i) in
-      let tp_a, w_a = drive p ~width b in
-      let tp_b, w_b = drive p2 ~width b in
+      let tp_a, w_a = drive p b in
+      let tp_b, w_b = drive p2 b in
       if tp_a <> tp_b || w_a <> w_b then
         bad :=
           Some
@@ -460,72 +417,68 @@ let snapshot_roundtrip ?(length = 400) ~seed (design : Designs.t) =
          (Cobra_util.Slab.length slab) (length - half))
   | Some m -> fail ~check ~subject m
 
-(* --- compiled twin: the staged compiler vs the interpreted pipeline -------------- *)
+(* --- replay-mode lockstep: closed form vs reference transaction ------------------ *)
 
-module Engine = Cobra_compile.Engine
-
-(* Per-branch lockstep of one interpreted pipeline against one compiled
-   engine of the same (cfg, topology), fresh per shape: taken_pred, wrong,
-   every component's metadata word, and the final snapshot slab must all be
-   bit-identical. This is the merge gate of the compiler. *)
+(* Per-branch lockstep of two pipelines of the same (cfg, topology), fresh
+   per shape, one driven by the reference transaction and one by its closed
+   form: taken_pred, wrong, every component's metadata word, and the final
+   snapshot slab must all be bit-identical. *)
 let compiled_lockstep ~check ~subject ~shapes ~length ~seed ~cfg make_topo =
   let events = ref 0 in
   let run_shape shape =
-    let pl = Pipeline.create cfg (make_topo ()) in
-    let eng = Engine.create cfg (make_topo ()) in
-    let width = cfg.Pipeline.fetch_width in
+    let reference = Pipeline.create cfg (make_topo ()) in
+    let fast = Pipeline.create cfg (make_topo ()) in
     let bs = Fuzz.branches { Fuzz.seed; shape; length } in
     let where i what =
-      Printf.sprintf
-        "shape=%s branch=%d/%d seed=%d: %s (replay: cobra conform --seed %d --engine compiled)"
+      Printf.sprintf "shape=%s branch=%d/%d seed=%d: %s (replay: cobra conform --seed %d)"
         (Fuzz.shape_name shape) i length seed what seed
     in
     List.iteri
       (fun i (b : Fuzz.branch) ->
         incr events;
-        let tp_i, w_i, metas_i = drive_with_metas pl ~width b in
-        let w_c =
-          Engine.step eng ~pc:b.Fuzz.br_pc ~kind:b.Fuzz.br_kind ~taken:b.Fuzz.br_taken
-            ~target:b.Fuzz.br_target
+        let tp_r, w_r = drive reference b in
+        let w_f =
+          Pipeline.replay_step fast ~pc:b.Fuzz.br_pc ~kind:b.Fuzz.br_kind
+            ~taken:b.Fuzz.br_taken ~target:b.Fuzz.br_target
         in
-        let tp_c = Engine.last_taken_pred eng in
-        if tp_i <> tp_c || w_i <> w_c then
+        let tp_f = Pipeline.last_taken_pred fast in
+        if tp_r <> tp_f || w_r <> w_f then
           raise
             (Mismatch
                (where i
                   (Printf.sprintf
-                     "interpreted taken_pred=%b wrong=%b, compiled taken_pred=%b wrong=%b"
-                     tp_i w_i tp_c w_c)));
-        let metas_c = Engine.metas eng in
-        if Array.length metas_i <> Array.length metas_c then
+                     "reference taken_pred=%b wrong=%b, replay mode taken_pred=%b wrong=%b"
+                     tp_r w_r tp_f w_f)));
+        let metas_r = Pipeline.last_metas reference and metas_f = Pipeline.last_metas fast in
+        if Array.length metas_r <> Array.length metas_f then
           raise
             (Mismatch
                (where i
-                  (Printf.sprintf "metadata arity: interpreted %d words, compiled %d"
-                     (Array.length metas_i) (Array.length metas_c))));
+                  (Printf.sprintf "metadata arity: reference %d words, replay mode %d"
+                     (Array.length metas_r) (Array.length metas_f))));
         Array.iteri
           (fun id m ->
-            if not (Bits.equal m metas_c.(id)) then
+            if not (Bits.equal m metas_f.(id)) then
               raise
                 (Mismatch
                    (where i
                       (Printf.sprintf
-                         "metadata mismatch at component %d: interpreted %s, compiled %s"
-                         id (Bits.to_string m) (Bits.to_string metas_c.(id))))))
-          metas_i)
+                         "metadata mismatch at component %d: reference %s, replay mode %s"
+                         id (Bits.to_string m) (Bits.to_string metas_f.(id))))))
+          metas_r)
       bs;
-    if not (Cobra_util.Slab.equal (Pipeline.snapshot pl) (Engine.snapshot eng)) then
+    if not (Cobra_util.Slab.equal (Pipeline.snapshot reference) (Pipeline.snapshot fast)) then
       raise
         (Mismatch
            (Printf.sprintf
-              "shape=%s seed=%d: final snapshot slabs differ between interpreted and \
-               compiled engines (replay: cobra conform --seed %d --engine compiled)"
+              "shape=%s seed=%d: final snapshot slabs differ between the reference \
+               transaction and replay mode (replay: cobra conform --seed %d)"
               (Fuzz.shape_name shape) seed seed))
   in
   match List.iter run_shape shapes with
   | () ->
     pass ~check ~subject
-      (Printf.sprintf "ok (%d branches across %d shapes, compiled = interpreted)" !events
+      (Printf.sprintf "ok (%d branches across %d shapes, replay mode = reference)" !events
          (List.length shapes))
   | exception Mismatch m -> fail ~check ~subject m
 
@@ -583,39 +536,16 @@ let table1_pins () =
 
 (* --- top level ------------------------------------------------------------------ *)
 
-type engine = [ `Interpreted | `Compiled | `Both ]
-
-let run_all ?(length = 300) ?(shapes = Fuzz.all_shapes) ?(engine = `Both) ~seed () =
+let run_all ?(length = 300) ?(shapes = Fuzz.all_shapes) ~seed () =
   let zoo = Golden.zoo () in
-  let interpreted = engine <> `Compiled and compiled = engine <> `Interpreted in
-  let per_component =
-    if not interpreted then []
-    else
-      List.concat_map (fun p -> [ lockstep ~length ~shapes ~seed p; storage_accounting p ]) zoo
-  in
-  let twins =
-    if not interpreted then []
-    else List.map (twin ~length ~seed) (Designs.all @ [ Designs.gshare_only ])
-  in
-  let repairs =
-    if not interpreted then [] else List.map (repair_restore ~length ~seed) Designs.all
-  in
-  let replays =
-    if not interpreted then []
-    else List.map (replay_twin ~length ~seed) (Designs.all @ [ Designs.gshare_only ])
-  in
-  let snapshots =
-    if not interpreted then []
-    else List.map (snapshot_roundtrip ~length ~seed) (Designs.all @ [ Designs.gshare_only ])
-  in
-  let compiled_zoos =
-    if not compiled then [] else List.map (compiled_zoo ~length ~shapes ~seed) zoo
-  in
-  let compiled_twins =
-    if not compiled then []
-    else List.map (compiled_twin ~length ~shapes ~seed) (Designs.all @ [ Designs.gshare_only ])
-  in
-  per_component @ twins @ replays @ repairs @ snapshots @ compiled_zoos @ compiled_twins
+  let designs = Designs.all @ [ Designs.gshare_only ] in
+  List.concat_map (fun p -> [ lockstep ~length ~shapes ~seed p; storage_accounting p ]) zoo
+  @ List.map (twin ~length ~seed) designs
+  @ List.map (replay_twin ~length ~seed) designs
+  @ List.map (repair_restore ~length ~seed) Designs.all
+  @ List.map (snapshot_roundtrip ~length ~seed) designs
+  @ List.map (compiled_zoo ~length ~shapes ~seed) zoo
+  @ List.map (compiled_twin ~length ~shapes ~seed) designs
   @ table1_pins ()
 
 let render vs =

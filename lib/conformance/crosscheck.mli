@@ -28,8 +28,8 @@ val storage_accounting : Golden.packed -> verdict
 
 val twin : ?length:int -> seed:int -> Cobra_eval.Designs.t -> verdict
 (** End-to-end differential: the design and its {!Golden.twin_design} are
-    driven through the same branch stream (software-model protocol) and
-    must make identical predictions on every branch. *)
+    driven through the same branch stream (the replay protocol's reference
+    transaction) and must make identical predictions on every branch. *)
 
 val replay_twin : ?length:int -> seed:int -> Cobra_eval.Designs.t -> verdict
 (** Certifies the trace-replay fast path: the same fuzz branch stream
@@ -53,17 +53,17 @@ val snapshot_roundtrip : ?length:int -> seed:int -> Cobra_eval.Designs.t -> verd
 
 val compiled_twin :
   ?length:int -> ?shapes:Fuzz.shape list -> seed:int -> Cobra_eval.Designs.t -> verdict
-(** The staged topology compiler's merge gate: a compiled engine
-    ([Cobra_compile.Engine]) and an interpreted pipeline of the same design
-    replay identical fuzz streams across every shape, fresh state per
-    shape, and must agree bit-for-bit on every per-branch [(taken_pred,
-    wrong)] decision, every component's metadata word, and the final
-    snapshot slab. *)
+(** The replay mode's merge gate: two pipelines of the same design replay
+    identical fuzz streams across every shape, fresh state per shape, one
+    with the reference transaction ([Pipeline.reference_step]) and one with
+    its closed form ([Pipeline.replay_step]). They must agree bit-for-bit
+    on every per-branch [(taken_pred, wrong)] decision, every component's
+    metadata word, and the final snapshot slab. *)
 
 val compiled_zoo :
   ?length:int -> ?shapes:Fuzz.shape list -> seed:int -> Golden.packed -> verdict
 (** {!compiled_twin} over a single-component topology built from one zoo
-    entry, so every component certifies its compiled kernel in isolation
+    entry, so every component certifies the closed form in isolation
     (selectors arbitrate two static leaves, keeping their incoming
     predictions real). *)
 
@@ -72,26 +72,15 @@ val table1_pins : unit -> verdict list
     reference designs: exact [Storage.total_bits] and the rounded
     direction-state KB figures. *)
 
-type engine = [ `Interpreted | `Compiled | `Both ]
-(** Which simulator engines {!run_all} certifies: the interpreted suite,
-    the compiled differentials, or (default) both. *)
-
-val run_all :
-  ?length:int ->
-  ?shapes:Fuzz.shape list ->
-  ?engine:engine ->
-  seed:int ->
-  unit ->
-  verdict list
+val run_all : ?length:int -> ?shapes:Fuzz.shape list -> seed:int -> unit -> verdict list
 (** Everything above: per-component lockstep + storage over {!Golden.zoo},
     twin and replay-engine differentials over the reference designs (plus
     gshare-only), repair-restores-state over [Designs.all], snapshot
-    round-trips, the compiled-engine differentials ({!compiled_zoo} over
-    the whole zoo and {!compiled_twin} over the reference designs plus
-    gshare-only), and the Table-I pins. [shapes] restricts the fuzz shapes (default:
-    all, including the probe-derived ladder / alias-stress / loop-scan);
-    [engine] (default [`Both]) restricts which simulator engines are
-    certified — the Table-I pins always run. *)
+    round-trips, the replay-mode lockstep ({!compiled_zoo} over the whole
+    zoo and {!compiled_twin} over the reference designs plus gshare-only),
+    and the Table-I pins. [shapes] restricts the fuzz shapes of the
+    lockstep checks (default: all, including the probe-derived ladder /
+    alias-stress / loop-scan). *)
 
 val all_pass : verdict list -> bool
 val failures : verdict list -> verdict list

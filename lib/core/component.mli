@@ -66,6 +66,9 @@ type t = private {
           for stateless components); see {!snapshot}/{!restore} *)
   predict :
     Context.t -> pred_in:Types.prediction list -> Types.prediction * Cobra_util.Bits.t;
+      (** the [pred_in] rows are only valid during the call (the pipeline
+          reuses them for its next evaluation): return a fresh prediction,
+          never one of them *)
   fire : event -> unit;
   mispredict : event -> unit;
   repair : event -> unit;

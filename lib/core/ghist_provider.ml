@@ -52,6 +52,10 @@ let commit_oldest t =
 
 let pending_count t = List.length t.pending
 
+let shift_base t b =
+  t.base_value <- Bits.shift_in_lsb t.base_value b;
+  invalidate t
+
 let restore t snapshot =
   if Bits.width snapshot <> t.bits then
     invalid_arg "Ghist_provider.restore: snapshot width mismatch";

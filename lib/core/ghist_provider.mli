@@ -35,6 +35,10 @@ val commit_oldest : t -> unit
 
 val pending_count : t -> int
 
+val shift_base : t -> bool -> unit
+(** Shift one bit straight into the base: the net effect of pushing, firing
+    and committing a one-bit packet when nothing else is pending. *)
+
 val restore : t -> Cobra_util.Bits.t -> unit
 (** Mispredict repair: reset the base from a history-file snapshot and clear
     all pending contributions. *)

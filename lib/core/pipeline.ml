@@ -63,27 +63,81 @@ type observation =
   | Committed of { seq : int; packet_len : int; slots : Types.resolved array }
   | Squashed of { packets : int }
 
+(* One component evaluation of the flattened schedule. Registers index the
+   bank of per-stage composite arrays; register 0 is the all-silent bottom.
+   A node reads one source register; an arbitration selector reads one per
+   sub-topology and overlays its opinion onto the first (the default path,
+   which keeps showing through wherever the selector is silent — e.g. a BTB
+   target). *)
+type step = {
+  s_comp : Component.t;
+  s_id : int;  (* index in [comps] *)
+  s_stage : int;  (* predict-in stage: [min latency depth - 1] *)
+  s_srcs : int array;
+  s_dst : int;
+}
+
 type t = {
   cfg : config;
   topo : Topology.t;
   comps : Component.t array;
   depth : int;
+  steps : step array;  (* topological evaluation order *)
+  root : int;  (* register holding the final per-stage composites *)
+  regs : Types.prediction array array;
+      (* per register, its per-stage composite rows: either shared with the
+         source register (pass-through stages, silent components) or one of
+         the register's own merge rows in [bufs] *)
+  bufs : Types.prediction array array;  (* per register, one merge row per stage *)
+  silent_row : Types.prediction;  (* the bottom's shared all-silent row *)
   ghist : Ghist_provider.t;
   path : Ghist_provider.t;  (* the path history reuses the shift-register provider *)
   lhist : Lhist_provider.t;
+  lhist_dead : Bits.t;  (* what slots past a packet's live length read *)
+  phist_off : Bits.t;  (* the zero-width path history when path_bits = 0 *)
   hf : History_file.t;
-  bottom : Types.prediction array;
-      (* all-silent stage composites below the topology, shared across
-         predicts: opinions are immutable and [evaluate] never writes
-         through it, so one allocation at elaboration serves every cycle *)
   mutable pending : pending list; (* oldest first *)
   mutable next_token : token;
   mutable observer : (observation -> unit) option;
+  (* replay-mode buffers, reused by every transaction *)
+  replay_metas : Bits.t array;
+  replay_lhists : Bits.t array;
+  replay_pred : Types.resolved array;
+  replay_actual : Types.resolved array;
+  mutable last_taken_pred : bool;
+  mutable last_metas : Bits.t array;
 }
 
-let component_id t (c : Component.t) =
-  let rec find i = if t.comps.(i) == c then i else find (i + 1) in
-  find 0
+let no_meta = Bits.zero 0
+
+(* Flatten the topology into the schedule, in the order a recursive walk
+   would evaluate it: [Override (hi, lo)] runs [lo] first, arbitration
+   sub-topologies run head-first and then their selector. The order matters
+   to components whose [predict] has side effects. *)
+let schedule comps depth topo =
+  let id (c : Component.t) =
+    let rec find i = if comps.(i) == c then i else find (i + 1) in
+    find 0
+  in
+  let steps = ref [] and n_regs = ref 1 in
+  let emit (c : Component.t) srcs =
+    let dst = !n_regs in
+    incr n_regs;
+    steps :=
+      { s_comp = c; s_id = id c; s_stage = min c.latency depth - 1; s_srcs = srcs; s_dst = dst }
+      :: !steps;
+    dst
+  in
+  let rec walk topo src =
+    match topo with
+    | Topology.Node c -> emit c [| src |]
+    | Topology.Override (hi, lo) -> walk hi (walk lo src)
+    | Topology.Arbitrate (sel, subs) ->
+      let srcs = List.fold_left (fun acc sub -> walk sub src :: acc) [] subs in
+      emit sel (Array.of_list (List.rev srcs))
+  in
+  let root = walk topo 0 in
+  (Array.of_list (List.rev !steps), root, !n_regs)
 
 let create cfg topo =
   if cfg.fetch_width < 1 then invalid_arg "Pipeline.create: fetch_width < 1";
@@ -93,25 +147,42 @@ let create cfg topo =
   let comps = Array.of_list (Topology.components topo) in
   let meta_bits = Array.map (fun (c : Component.t) -> c.meta_bits) comps in
   let depth = Topology.max_latency topo in
+  let steps, root, n_regs = schedule comps depth topo in
+  let width = cfg.fetch_width in
+  let silent_row = Types.no_prediction ~width in
   {
     cfg;
     topo;
     comps;
     depth;
+    steps;
+    root;
+    regs = Array.init n_regs (fun _ -> Array.make depth silent_row);
+    bufs =
+      Array.init n_regs (fun r ->
+          if r = 0 then [||] else Array.init depth (fun _ -> Types.no_prediction ~width));
+    silent_row;
     ghist = Ghist_provider.create ~bits:cfg.ghist_bits;
     path = Ghist_provider.create ~bits:(max 1 cfg.path_bits);
     lhist = Lhist_provider.create ~entries:cfg.lhist_entries ~bits:cfg.lhist_bits;
+    lhist_dead = Bits.zero cfg.lhist_bits;
+    phist_off = Bits.zero 0;
     hf =
-      History_file.create ~capacity:cfg.history_entries ~meta_bits ~fetch_width:cfg.fetch_width
+      History_file.create ~capacity:cfg.history_entries ~meta_bits ~fetch_width:width
         ~ghist_bits:cfg.ghist_bits ~lhist_bits:cfg.lhist_bits;
-    bottom = Array.make depth (Types.no_prediction ~width:cfg.fetch_width);
     pending = [];
     next_token = 0;
     observer = None;
+    replay_metas = Array.make (Array.length comps) no_meta;
+    replay_lhists = Array.make width (Bits.zero cfg.lhist_bits);
+    replay_pred = Array.make width Types.no_branch;
+    replay_actual = Array.make width Types.no_branch;
+    last_taken_pred = false;
+    last_metas = [||];
   }
 
 let set_observer t obs = t.observer <- obs
-let observed t = t.observer <> None
+let observed t = match t.observer with Some _ -> true | None -> false
 let observe t ev = match t.observer with Some f -> f ev | None -> ()
 
 let config t = t.cfg
@@ -147,87 +218,85 @@ let check_meta (c : Component.t) meta =
       (Printf.sprintf "component %s returned %d metadata bits, declared %d" c.name
          (Bits.width meta) c.meta_bits)
 
-let is_silent pred = Array.for_all (fun o -> o == Types.empty_opinion) pred
+let rec silent (pred : Types.prediction) i =
+  i >= Array.length pred || (pred.(i) == Types.empty_opinion && silent pred (i + 1))
 
-(* Consecutive stages usually share the same composite array (the bottom
-   is one shared array, and every merge below preserves the sharing) —
-   merging pointer-equal weak inputs yields equal results, so reuse the
-   previous stage's merge instead of recomputing it. The previous
-   (weak, merged) pair threads through arguments: no closure, no refs. *)
-let rec overlay_fill out below ~latency pred i prev_w prev_m =
-  if i < Array.length below then begin
-    let b = below.(i) in
-    if i + 1 < latency then begin
-      out.(i) <- b;
-      overlay_fill out below ~latency pred (i + 1) prev_w prev_m
-    end
-    else if b == prev_w then begin
-      out.(i) <- prev_m;
-      overlay_fill out below ~latency pred (i + 1) prev_w prev_m
-    end
-    else begin
-      let m = Types.merge ~strong:pred ~weak:b in
-      out.(i) <- m;
-      overlay_fill out below ~latency pred (i + 1) b m
-    end
-  end
-
-let overlay below ~latency pred =
-  if is_silent pred then below
+(* Write [pred] over the source composites into register [dst]: the opinion
+   becomes visible at its latency and overrides everything below it. Slot
+   merging keeps [Types.merge]'s [empty_opinion] fast paths, so physical
+   emptiness — which downstream predicates test — is exactly that of a
+   fresh [Types.merge]. A stage whose source row is the previous stage's
+   merges to the same row, so it reuses it. *)
+let[@inline] overlay_into t ~dst ~latency (src : Types.prediction array)
+    (pred : Types.prediction) =
+  let width = t.cfg.fetch_width in
+  if Array.length pred <> width then invalid_arg "Types.merge: prediction width mismatch";
+  let out = t.regs.(dst) in
+  if silent pred 0 then Array.blit src 0 out 0 t.depth
   else begin
-    let out = Array.make (Array.length below) below.(0) in
-    (* [pred] is non-silent, so it can never be the weak side's merge
-       result: using it as the initial "previous weak" sentinel is safe. *)
-    overlay_fill out below ~latency pred 0 pred pred;
-    out
+    let rows = t.bufs.(dst) in
+    for s = 0 to t.depth - 1 do
+      let below = src.(s) in
+      if s + 1 < latency then out.(s) <- below
+      else if s >= latency && below == src.(s - 1) then out.(s) <- out.(s - 1)
+      else begin
+        let row = rows.(s) in
+        for i = 0 to width - 1 do
+          let st = pred.(i) and w = below.(i) in
+          row.(i) <-
+            (if st == Types.empty_opinion then w
+             else if w == Types.empty_opinion then st
+             else Types.merge_opinion ~strong:st ~weak:w)
+        done;
+        out.(s) <- row
+      end
+    done
   end
 
-(* Evaluate every component once (tables are read with predict-time state),
-   wiring predict_in per the topology, and build the per-stage composites:
-   a node's opinion becomes visible at its latency and overrides everything
-   below it; an arbitration selector's first sub-topology provides the
-   running prediction until the selector responds. [below] is the running
-   array of composites, indexed by stage-1. *)
-let evaluate t (ctx : Context.t) =
-  let metas = Array.make (Array.length t.comps) (Bits.zero 0) in
-  let raw = if observed t then Some (Array.make (Array.length t.comps) [||]) else None in
-  let record id pred = match raw with Some r -> r.(id) <- pred | None -> () in
-  let clamp_stage latency = min latency t.depth - 1 in
-  let rec eval topo (below : Types.prediction array) : Types.prediction array =
-    match topo with
-    | Topology.Node c ->
-      let pred, meta = c.predict ctx ~pred_in:[ below.(clamp_stage c.latency) ] in
-      check_meta c meta;
-      let id = component_id t c in
-      metas.(id) <- meta;
-      record id pred;
-      overlay below ~latency:c.latency pred
-    | Topology.Override (hi, lo) -> eval hi (eval lo below)
-    | Topology.Arbitrate (sel, subs) ->
-      let sub_arrays = List.map (fun s -> eval s below) subs in
-      let pred_in = List.map (fun a -> a.(clamp_stage sel.Component.latency)) sub_arrays in
-      let pred, meta = sel.predict ctx ~pred_in in
-      check_meta sel meta;
-      let sel_id = component_id t sel in
-      metas.(sel_id) <- meta;
-      record sel_id pred;
-      (* The selector overrides the fields it has opinions on (the chosen
-         direction); everything else — e.g. a BTB target on the default
-         path — keeps showing through from the first sub-topology. *)
-      overlay (List.hd sub_arrays) ~latency:sel.Component.latency pred
-  in
-  let stages = eval t.topo t.bottom in
-  (stages, metas, raw)
+let rec inputs regs srcs ~stage k =
+  if k >= Array.length srcs then []
+  else regs.(srcs.(k)).(stage) :: inputs regs srcs ~stage (k + 1)
+
+let[@inline] pred_in regs srcs ~stage =
+  if Array.length srcs = 1 then [ regs.(srcs.(0)).(stage) ] else inputs regs srcs ~stage 0
+
+(* Evaluate every component once, in schedule order (tables are read with
+   predict-time state), storing each metadata word into [metas] and, when
+   [raw] is given, each raw prediction, by component id. Returns the root
+   register's per-stage composites, indexed by stage-1. The rows live in the
+   register bank: they are overwritten by the next evaluation. *)
+let eval t (ctx : Context.t) metas raw =
+  let steps = t.steps and regs = t.regs in
+  for i = 0 to Array.length steps - 1 do
+    let s = steps.(i) in
+    let c = s.s_comp in
+    let pred, meta = c.predict ctx ~pred_in:(pred_in regs s.s_srcs ~stage:s.s_stage) in
+    check_meta c meta;
+    metas.(s.s_id) <- meta;
+    (match raw with Some r -> r.(s.s_id) <- pred | None -> ());
+    overlay_into t ~dst:s.s_dst ~latency:c.latency regs.(s.s_srcs.(0)) pred
+  done;
+  regs.(t.root)
+
+(* A pending packet keeps its own copy of the composites (the bank is
+   reused by the next evaluation); rows shared between stages stay shared. *)
+let copy_rows t (rows : Types.prediction array) =
+  let out = Array.make t.depth t.silent_row in
+  for s = 0 to t.depth - 1 do
+    let r = rows.(s) in
+    if r == t.silent_row then ()
+    else if s > 0 && r == rows.(s - 1) then out.(s) <- out.(s - 1)
+    else out.(s) <- Array.copy r
+  done;
+  out
 
 (* --- frontend side ------------------------------------------------------ *)
 
 (* Slots past [live] can never be used this packet; a shared zero vector
    saves the provider reads without changing what any component can see. *)
 let read_lhists t ~pc ~live =
-  let dead = lazy (Cobra_util.Bits.zero t.cfg.lhist_bits) in
   Array.init t.cfg.fetch_width (fun i ->
-      if i < live then Lhist_provider.read t.lhist ~pc:(pc + (4 * i))
-      else Lazy.force dead)
+      if i < live then Lhist_provider.read t.lhist ~pc:(pc + (4 * i)) else t.lhist_dead)
 
 (* Slots of [pred] within [packet_len] that look like conditional branches
    push a speculative bit into the local history of their own PC. *)
@@ -303,10 +372,12 @@ let predict t ~pc ~max_len =
     Context.make ~pc ~fetch_width:t.cfg.fetch_width ~live_slots:max_len
       ~ghist:(Ghist_provider.value t.ghist)
       ~lhists:(read_lhists t ~pc ~live:max_len)
-      ~phist:(if t.cfg.path_bits = 0 then Bits.zero 0 else Ghist_provider.value t.path)
+      ~phist:(if t.cfg.path_bits = 0 then t.phist_off else Ghist_provider.value t.path)
       ()
   in
-  let stages, metas, raw = evaluate t ctx in
+  let metas = Array.make (Array.length t.comps) no_meta in
+  let raw = if observed t then Some (Array.make (Array.length t.comps) [||]) else None in
+  let stages = copy_rows t (eval t ctx metas raw) in
   let stage1 = stages.(0) in
   let nf = Types.next_fetch stage1 ~pc ~max_len in
   let dir_bits = Types.direction_bits stage1 ~packet_len:nf.Types.packet_len in
@@ -604,7 +675,8 @@ let entry t seq = History_file.get t.hf seq
 
 module Slab = Cobra_util.Slab
 
-let quiesced t = t.pending = [] && History_file.length t.hf = 0
+let quiesced t =
+  (match t.pending with [] -> true | _ :: _ -> false) && History_file.length t.hf = 0
 
 let mgmt_cells t =
   let ghist_limbs = Bits.limbs_for (Ghist_provider.width t.ghist) in
@@ -684,3 +756,121 @@ let restore t slab =
         pos := !pos + n
       end)
     t.comps
+
+(* ------------------------------------------------------------------ *)
+(* Replay mode: one branch per packet, predicted, resolved and committed
+   before the next — the trace-replay protocol. *)
+
+let predicted_taken ~kind (final : Types.opinion) =
+  match final.o_taken with Some b -> b | None -> Types.is_unconditional kind
+
+let mispredicted ~kind ~taken ~target (final : Types.opinion) =
+  predicted_taken ~kind final <> taken
+  || taken
+     && Types.is_unconditional kind
+     && (not (Types.equal_branch_kind kind Types.Ret))
+     && target >= 0
+     && match final.o_target with Some v -> v <> target | None -> true
+
+let last_taken_pred t = t.last_taken_pred
+let last_metas t = t.last_metas
+
+let reference_step t ~pc ~kind ~taken ~target =
+  if not (quiesced t) then invalid_arg "Pipeline.reference_step: pipeline not quiesced";
+  let tok = predict t ~pc ~max_len:1 in
+  let p = find_pending t tok in
+  let final = p.p_stages.(t.depth - 1).(0) in
+  let taken_pred = predicted_taken ~kind final in
+  let wrong = mispredicted ~kind ~taken ~target final in
+  let target = if target >= 0 then target else 0 in
+  let slots = t.replay_pred in
+  slots.(0) <-
+    Types.resolved_branch ~kind ~taken:taken_pred ~target:(if taken_pred then target else 0);
+  let seq = fire t tok ~slots ~packet_len:1 in
+  let actual = Types.resolved_branch ~kind ~taken ~target in
+  if wrong then mispredict t ~seq ~slot:0 actual else resolve t ~seq ~slot:0 actual;
+  (* immediate commit: nothing else is in flight *)
+  commit t;
+  t.last_taken_pred <- taken_pred;
+  t.last_metas <- p.p_metas;
+  wrong
+
+(* [path_bits_of_target] shifted in oldest-first, without the bit list. *)
+let push_path t target =
+  let folded =
+    Cobra_util.Hashing.fold_int (Cobra_util.Hashing.pc_bits target) ~width:62
+      ~bits:path_bits_per_branch
+  in
+  let v = ref (Ghist_provider.base t.path) in
+  for k = 0 to path_bits_per_branch - 1 do
+    v := Bits.shift_in_lsb !v ((folded lsr k) land 1 = 1)
+  done;
+  Ghist_provider.restore t.path !v
+
+(* The reference transaction's net effect in closed form. On a quiesced
+   pipeline the speculative histories equal the providers' bases, and the
+   predict-time pushes, the fire-time predecode correction, the mispredict
+   restore and the commit collapse into one update per branch. Events go
+   out in component order, as [fire], [mispredict] and [commit] deliver
+   them. *)
+let replay_step t ~pc ~kind ~taken ~target =
+  if observed t || not (quiesced t) then
+    invalid_arg
+      "Pipeline.replay_step: needs a quiesced pipeline with no observer attached";
+  let lhists = t.replay_lhists in
+  lhists.(0) <- Lhist_provider.read t.lhist ~pc;
+  let ctx =
+    Context.make ~pc ~fetch_width:t.cfg.fetch_width ~live_slots:1
+      ~ghist:(Ghist_provider.base t.ghist) ~lhists
+      ~phist:(if t.cfg.path_bits = 0 then t.phist_off else Ghist_provider.base t.path)
+      ()
+  in
+  let metas = t.replay_metas in
+  let rows = eval t ctx metas None in
+  let final = rows.(t.depth - 1).(0) in
+  let taken_pred = predicted_taken ~kind final in
+  let wrong = mispredicted ~kind ~taken ~target final in
+  let target = if target >= 0 then target else 0 in
+  let is_cond = match kind with Types.Cond -> true | _ -> false in
+  t.next_token <- t.next_token + 1;
+  if t.cfg.predecode_history_correction || wrong then begin
+    (* the predecode correction (or the mispredict restore) leaves the
+       actual outcome: one bit per conditional, the target when taken *)
+    if is_cond then begin
+      Ghist_provider.shift_base t.ghist taken;
+      Lhist_provider.push t.lhist ~pc taken
+    end;
+    if t.cfg.path_bits > 0 && taken then push_path t target
+  end
+  else begin
+    (* a right prediction without predecode correction commits the bits
+       read off the Fetch-1 composite's slot-0 opinion *)
+    let op = rows.(0).(0) in
+    let branch = match op.Types.o_branch with Some b -> b | None -> false in
+    let op_taken = match op.Types.o_taken with Some b -> b | None -> false in
+    if branch && (match op.Types.o_kind with None | Some Types.Cond -> true | Some _ -> false)
+    then begin
+      Ghist_provider.shift_base t.ghist op_taken;
+      Lhist_provider.push t.lhist ~pc op_taken
+    end;
+    if t.cfg.path_bits > 0 && branch && op_taken then
+      push_path t (match op.Types.o_target with Some v -> v | None -> 0)
+  end;
+  let pred = t.replay_pred and actual = t.replay_actual in
+  pred.(0) <-
+    Types.resolved_branch ~kind ~taken:taken_pred ~target:(if taken_pred then target else 0);
+  actual.(0) <- Types.resolved_branch ~kind ~taken ~target;
+  let comps = t.comps in
+  for i = 0 to Array.length comps - 1 do
+    comps.(i).fire { Component.ctx; meta = metas.(i); slots = pred; culprit = None }
+  done;
+  if wrong then
+    for i = 0 to Array.length comps - 1 do
+      comps.(i).mispredict { Component.ctx; meta = metas.(i); slots = actual; culprit = Some 0 }
+    done;
+  for i = 0 to Array.length comps - 1 do
+    comps.(i).update { Component.ctx; meta = metas.(i); slots = actual; culprit = None }
+  done;
+  t.last_taken_pred <- taken_pred;
+  t.last_metas <- metas;
+  wrong

@@ -196,6 +196,56 @@ val restore : t -> Cobra_util.Slab.t -> unit
     [Invalid_argument] when the history file is non-empty or the slab size
     does not match {!snapshot_cells}. *)
 
+(** {1 Replay mode}
+
+    The trace-replay protocol drives one branch per packet, fully committed
+    before the next. Two transactions implement it on a {!quiesced}
+    pipeline; both return whether the branch was mispredicted, record the
+    predicted direction and the per-component metadata words, and leave
+    bit-identical state (components, histories, {!snapshot} slab).
+
+    - {!reference_step} goes through the public protocol: {!predict}
+      [~max_len:1], {!fire}, {!resolve} or {!mispredict}, {!commit}. It is
+      the oracle, and an attached observer sees every step.
+    - {!replay_step} is its closed form. Because nothing is in flight, the
+      speculative histories equal the providers' bases, so the predict-time
+      pushes, the fire-time predecode correction, the mispredict restore
+      and the commit collapse into one history update per branch, and
+      neither pending packets nor the history file are touched.
+
+    A pipeline may alternate between the two transactions and the general
+    protocol freely, as long as each transaction starts quiesced. *)
+
+val predicted_taken : kind:Types.branch_kind -> Types.opinion -> bool
+(** Direction the final-stage opinion implies for one branch: its taken
+    bit, or "taken" for a silent opinion on an unconditional branch. *)
+
+val mispredicted :
+  kind:Types.branch_kind -> taken:bool -> target:int -> Types.opinion -> bool
+(** The replay protocol's mispredict rule: the direction is wrong, or a
+    taken non-return unconditional branch with a known target
+    ([target >= 0]) was predicted to a different target. *)
+
+val reference_step :
+  t -> pc:int -> kind:Types.branch_kind -> taken:bool -> target:int -> bool
+(** One branch through the public protocol. [target < 0] means the target
+    is unknown. Raises [Invalid_argument] when the pipeline is not
+    {!quiesced}. *)
+
+val replay_step :
+  t -> pc:int -> kind:Types.branch_kind -> taken:bool -> target:int -> bool
+(** The closed form of {!reference_step}. Raises [Invalid_argument] when the
+    pipeline has pending packets or in-flight entries, or an observer is
+    attached. *)
+
+val last_taken_pred : t -> bool
+(** Predicted direction of the most recent replay transaction. *)
+
+val last_metas : t -> Cobra_util.Bits.t array
+(** Metadata words of the most recent replay transaction, by component
+    index. After {!replay_step} the array is reused: read it before the next
+    transaction. *)
+
 (** {1 Introspection (tests, debugging)} *)
 
 val ghist_value : t -> Cobra_util.Bits.t

@@ -16,11 +16,11 @@ let accuracy r =
 let mpki_proxy r ~instructions = Cobra_util.Stats.mpki ~misses:r.mispredicts ~instructions
 
 (* One branch per packet, in retired order, final-stage prediction, update
-   immediately at commit of the very next event: the trace-based idiom. *)
+   immediately: the trace-based idiom, which is exactly the pipeline's
+   replay mode. *)
 let run ?insns ?observe (design : Designs.t) (workload : Cobra_workloads.Suite.entry) =
   let insns = Option.value insns ~default:(Experiment.default_insns ()) in
-  let pl = Pipeline.create design.Designs.pipeline_config (design.Designs.make ()) in
-  let width = design.Designs.pipeline_config.Pipeline.fetch_width in
+  let pl = Designs.pipeline design in
   let stream = workload.Cobra_workloads.Suite.make () in
   let branches = ref 0 and mispredicts = ref 0 in
   let consumed = ref 0 in
@@ -34,37 +34,14 @@ let run ?insns ?observe (design : Designs.t) (workload : Cobra_workloads.Suite.e
       | None -> ()
       | Some info ->
         incr branches;
-        let tok = Pipeline.predict pl ~pc:ev.Trace.pc ~max_len:1 in
-        let stages = Pipeline.stages pl tok in
-        let final = (stages.(Array.length stages - 1)).(0) in
-        let taken_pred =
-          match final.Types.o_taken with
-          | Some t -> t
-          | None -> Types.is_unconditional info.Trace.kind
-        in
-        (match observe with Some f -> f ev ~taken_pred | None -> ());
-        let target_pred = Option.value final.Types.o_target ~default:(-1) in
         let wrong =
-          taken_pred <> info.Trace.taken
-          || (info.Trace.taken
-             && Types.is_unconditional info.Trace.kind
-             && info.Trace.kind <> Types.Ret
-             && target_pred <> info.Trace.target)
-        in
-        if wrong then incr mispredicts;
-        let slots = Array.make width Types.no_branch in
-        slots.(0) <-
-          Types.resolved_branch ~kind:info.Trace.kind ~taken:taken_pred
-            ~target:(if taken_pred then info.Trace.target else 0);
-        let seq = Pipeline.fire pl tok ~slots ~packet_len:1 in
-        let actual =
-          Types.resolved_branch ~kind:info.Trace.kind ~taken:info.Trace.taken
+          Pipeline.replay_step pl ~pc:ev.Trace.pc ~kind:info.Trace.kind ~taken:info.Trace.taken
             ~target:info.Trace.target
         in
-        if wrong then Pipeline.mispredict pl ~seq ~slot:0 actual
-        else Pipeline.resolve pl ~seq ~slot:0 actual;
-        (* immediate update: the software-simulator idealisation *)
-        Pipeline.commit pl)
+        if wrong then incr mispredicts;
+        match observe with
+        | Some f -> f ev ~taken_pred:(Pipeline.last_taken_pred pl)
+        | None -> ())
   done;
   {
     design = design.Designs.name;

@@ -30,10 +30,10 @@ val run :
   Cobra_workloads.Suite.entry ->
   result
 (** Simulate [insns] instructions' worth of trace through the design's
-    composed pipeline, trace-based-style. [observe] fires per branch event
-    with the model's direction prediction before any update — the hook
-    differential tests use to compare this model prediction-for-prediction
-    against an independent reference. *)
+    composed pipeline, trace-based-style ([Pipeline.replay_step] per
+    branch). [observe] fires per branch event with the model's direction
+    prediction — the hook differential tests use to compare this model
+    prediction-for-prediction against an independent reference. *)
 
 val comparison_report : ?insns:int -> unit -> string
 (** Per design x benchmark subset: software-model accuracy vs the

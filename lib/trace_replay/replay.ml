@@ -51,14 +51,12 @@ let summary r =
     (100.0 *. accuracy r)
     r.elapsed_s (branches_per_sec r)
 
-(* The per-branch protocol below must stay in lockstep with
-   Cobra_eval.Software_model.run and the conformance kit's twin driver: the
-   replay-vs-pipeline MPKI equality guarantee is exactly this. *)
-let run ?(max_branches = max_int) ?(max_insns = max_int) ?deadline ?observe ?progress
-    ?(progress_every = 262_144) ~design ~trace pl source =
+(* The one replay loop, over either replay-mode transaction of the
+   pipeline: [step] predicts, resolves and commits one branch and says
+   whether it was mispredicted. *)
+let drive step ?(max_branches = max_int) ?(max_insns = max_int) ?deadline ?observe
+    ?progress ?(progress_every = 262_144) ~design ~trace pl source =
   if progress_every < 1 then invalid_arg "Replay.run: progress_every < 1";
-  let width = (Pipeline.config pl).Pipeline.fetch_width in
-  let slots = Array.make width Types.no_branch in
   let instructions = ref 0 in
   let branches = ref 0 in
   let cond_branches = ref 0 in
@@ -84,113 +82,15 @@ let run ?(max_branches = max_int) ?(max_insns = max_int) ?deadline ?observe ?pro
         let kind = r.Btrace.b_kind in
         let is_cond = Types.equal_branch_kind kind Types.Cond in
         if is_cond then incr cond_branches;
-        let tok = Pipeline.predict pl ~pc:r.Btrace.b_pc ~max_len:1 in
-        let stages = Pipeline.stages pl tok in
-        let final = (stages.(Array.length stages - 1)).(0) in
-        let taken_pred =
-          match final.Types.o_taken with
-          | Some t -> t
-          | None -> Types.is_unconditional kind
-        in
-        let target_pred = Option.value final.Types.o_target ~default:(-1) in
-        let known_target = r.Btrace.b_target >= 0 in
         let wrong =
-          taken_pred <> r.Btrace.b_taken
-          || (r.Btrace.b_taken
-             && Types.is_unconditional kind
-             && (not (Types.equal_branch_kind kind Types.Ret))
-             && known_target
-             && target_pred <> r.Btrace.b_target)
-        in
-        if wrong then begin
-          incr mispredicts;
-          if is_cond then incr cond_mispredicts
-        end;
-        (match observe with Some f -> f r ~taken_pred ~wrong | None -> ());
-        let target = if known_target then r.Btrace.b_target else 0 in
-        slots.(0) <-
-          Types.resolved_branch ~kind ~taken:taken_pred
-            ~target:(if taken_pred then target else 0);
-        let seq = Pipeline.fire pl tok ~slots ~packet_len:1 in
-        let actual = Types.resolved_branch ~kind ~taken:r.Btrace.b_taken ~target in
-        if wrong then Pipeline.mispredict pl ~seq ~slot:0 actual
-        else Pipeline.resolve pl ~seq ~slot:0 actual;
-        (* immediate commit: predictor-only replay has no backend to wait on *)
-        Pipeline.commit pl;
-        match progress with
-        | Some f when !branches mod progress_every = 0 ->
-          f ~branches:!branches ~insns:!instructions
-        | _ -> ()
-      end
-  done;
-  {
-    design;
-    trace;
-    instructions = !instructions;
-    branches = !branches;
-    cond_branches = !cond_branches;
-    mispredicts = !mispredicts;
-    cond_mispredicts = !cond_mispredicts;
-    elapsed_s = Unix.gettimeofday () -. t0;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Compiled engine: the same loop over the staged-compilation product of
-   the design. [Engine.step] is the whole per-branch transaction (fused
-   predict/fire/resolve/commit), so the loop body reduces to counter
-   bookkeeping; the compiled_twin conformance checks certify that every
-   per-branch decision and every state bit matches [run] above. *)
-
-module Engine = Cobra_compile.Engine
-
-type engine_kind = [ `Interpreted | `Compiled ]
-
-let engine_name = function `Interpreted -> "interpreted" | `Compiled -> "compiled"
-
-let engine_of_string = function
-  | "interpreted" -> `Interpreted
-  | "compiled" -> `Compiled
-  | s -> invalid_arg (Printf.sprintf "Replay.engine_of_string: %S" s)
-
-let compiled (d : Cobra_eval.Designs.t) =
-  Engine.create d.Cobra_eval.Designs.pipeline_config (d.Cobra_eval.Designs.make ())
-
-let run_compiled ?(max_branches = max_int) ?(max_insns = max_int) ?deadline ?observe
-    ?progress ?(progress_every = 262_144) ~design ~trace eng source =
-  if progress_every < 1 then invalid_arg "Replay.run_compiled: progress_every < 1";
-  let instructions = ref 0 in
-  let branches = ref 0 in
-  let cond_branches = ref 0 in
-  let mispredicts = ref 0 in
-  let cond_mispredicts = ref 0 in
-  let t0 = Unix.gettimeofday () in
-  let continue_ = ref true in
-  while !continue_ do
-    (match deadline with
-    | Some d when !branches land 2047 = 0 && Unix.gettimeofday () > d ->
-      raise (Timeout { branches = !branches; deadline_s = d })
-    | _ -> ());
-    match source () with
-    | None -> continue_ := false
-    | Some r ->
-      if !branches >= max_branches || !instructions + Btrace.insns r > max_insns then
-        continue_ := false
-      else begin
-        instructions := !instructions + Btrace.insns r;
-        incr branches;
-        let kind = r.Btrace.b_kind in
-        let is_cond = Types.equal_branch_kind kind Types.Cond in
-        if is_cond then incr cond_branches;
-        let wrong =
-          Engine.step eng ~pc:r.Btrace.b_pc ~kind ~taken:r.Btrace.b_taken
-            ~target:r.Btrace.b_target
+          step pl ~pc:r.Btrace.b_pc ~kind ~taken:r.Btrace.b_taken ~target:r.Btrace.b_target
         in
         if wrong then begin
           incr mispredicts;
           if is_cond then incr cond_mispredicts
         end;
         (match observe with
-        | Some f -> f r ~taken_pred:(Engine.last_taken_pred eng) ~wrong
+        | Some f -> f r ~taken_pred:(Pipeline.last_taken_pred pl) ~wrong
         | None -> ());
         match progress with
         | Some f when !branches mod progress_every = 0 ->
@@ -208,6 +108,17 @@ let run_compiled ?(max_branches = max_int) ?(max_insns = max_int) ?deadline ?obs
     cond_mispredicts = !cond_mispredicts;
     elapsed_s = Unix.gettimeofday () -. t0;
   }
+
+let run = drive Pipeline.reference_step
+let run_compiled = drive Pipeline.replay_step
+
+type engine_kind = [ `Interpreted | `Compiled ]
+
+let step_of = function
+  | `Interpreted -> Pipeline.reference_step
+  | `Compiled -> Pipeline.replay_step
+
+let compiled = Cobra_eval.Designs.pipeline
 
 (* ------------------------------------------------------------------ *)
 (* Warmup checkpoints and time-sliced parallel replay, built on the flat
@@ -245,33 +156,19 @@ let checkpoint pl rd ~branches ~insns =
     ck_insns = insns;
   }
 
-let warmup ?deadline ~branches ~design ~trace pl rd =
-  let res = run ?deadline ~design ~trace pl (capped_source rd ~branches) in
+let warmup_with step ?deadline ~branches ~design ~trace pl rd =
+  let res = drive step ?deadline ~design ~trace pl (capped_source rd ~branches) in
   (checkpoint pl rd ~branches:res.branches ~insns:res.instructions, res)
+
+let warmup = warmup_with Pipeline.reference_step
+let warmup_compiled = warmup_with Pipeline.replay_step
 
 let restore pl rd ck =
   Pipeline.restore pl ck.ck_slab;
   Reader.seek rd ck.ck_offset
 
-(* Compiled-engine checkpointing: the engine snapshots in the exact
-   [Pipeline.snapshot] layout, so checkpoints interchange freely between
-   the two engines of one design. *)
-
-let checkpoint_compiled eng rd ~branches ~insns =
-  {
-    ck_slab = Engine.snapshot eng;
-    ck_offset = Reader.offset rd;
-    ck_branches = branches;
-    ck_insns = insns;
-  }
-
-let warmup_compiled ?deadline ~branches ~design ~trace eng rd =
-  let res = run_compiled ?deadline ~design ~trace eng (capped_source rd ~branches) in
-  (checkpoint_compiled eng rd ~branches:res.branches ~insns:res.instructions, res)
-
-let restore_compiled eng rd ck =
-  Engine.restore eng ck.ck_slab;
-  Reader.seek rd ck.ck_offset
+let checkpoint_compiled = checkpoint
+let restore_compiled = restore
 
 let counters_equal a b =
   a.instructions = b.instructions
@@ -311,48 +208,24 @@ type sliced = {
   sl_parallel_s : float;
 }
 
-(* One replay simulator, either engine, behind a uniform driver so the
-   sliced scaffolding (and serve's windowed sweeps) is written once. *)
-type sim = {
-  sim_run : source -> result;
-  sim_checkpoint : Reader.t -> branches:int -> insns:int -> checkpoint;
-  sim_restore : Reader.t -> checkpoint -> unit;
-}
-
-let make_sim ?deadline (engine : engine_kind) (d : Cobra_eval.Designs.t) ~trace =
-  let design = d.Cobra_eval.Designs.name in
-  match engine with
-  | `Interpreted ->
-    let pl = Cobra_eval.Designs.pipeline d in
-    {
-      sim_run = (fun src -> run ?deadline ~design ~trace pl src);
-      sim_checkpoint = (fun rd ~branches ~insns -> checkpoint pl rd ~branches ~insns);
-      sim_restore = (fun rd ck -> restore pl rd ck);
-    }
-  | `Compiled ->
-    let eng = compiled d in
-    {
-      sim_run = (fun src -> run_compiled ?deadline ~design ~trace eng src);
-      sim_checkpoint =
-        (fun rd ~branches ~insns -> checkpoint_compiled eng rd ~branches ~insns);
-      sim_restore = (fun rd ck -> restore_compiled eng rd ck);
-    }
-
-let run_sliced ?buffer_size ?jobs ?(slice_branches = 262_144) ?(engine = `Interpreted)
-    (d : Cobra_eval.Designs.t) ~path =
+let run_sliced ?buffer_size ?jobs ?(slice_branches = 262_144) (d : Cobra_eval.Designs.t)
+    ~path =
   if slice_branches < 1 then invalid_arg "Replay.run_sliced: slice_branches < 1";
   let name = d.Cobra_eval.Designs.name in
+  let replay_slice pl rd =
+    run_compiled ~design:name ~trace:path pl (capped_source rd ~branches:slice_branches)
+  in
   (* Pass 1 (serial): replay slice by slice, snapshotting each boundary as
      it is crossed. *)
   let t0 = Unix.gettimeofday () in
   let boundaries = ref [] and serial = ref [] in
-  let sim = make_sim engine d ~trace:path in
+  let pl = Cobra_eval.Designs.pipeline d in
   Reader.with_file ?buffer_size path (fun rd ->
       let cum_branches = ref 0 and cum_insns = ref 0 in
       let continue_ = ref true in
       while !continue_ do
-        let ck = sim.sim_checkpoint rd ~branches:!cum_branches ~insns:!cum_insns in
-        let r = sim.sim_run (capped_source rd ~branches:slice_branches) in
+        let ck = checkpoint pl rd ~branches:!cum_branches ~insns:!cum_insns in
+        let r = replay_slice pl rd in
         if r.branches = 0 then continue_ := false
         else begin
           boundaries := ck :: !boundaries;
@@ -364,17 +237,17 @@ let run_sliced ?buffer_size ?jobs ?(slice_branches = 262_144) ?(engine = `Interp
       done);
   let boundaries = List.rev !boundaries and serial = List.rev !serial in
   let boundary_s = Unix.gettimeofday () -. t0 in
-  (* Pass 2 (parallel): each slice in its own domain with a fresh simulator
+  (* Pass 2 (parallel): each slice in its own domain with a fresh pipeline
      and reader; predictor state is handed off via the boundary snapshot. *)
   let t1 = Unix.gettimeofday () in
   let outcomes =
     Cobra_runner.Pool.map ?jobs
       (List.map
          (fun ck () ->
-           let sim = make_sim engine d ~trace:path in
+           let pl = Cobra_eval.Designs.pipeline d in
            Reader.with_file ?buffer_size path (fun rd ->
-               sim.sim_restore rd ck;
-               sim.sim_run (capped_source rd ~branches:slice_branches)))
+               restore pl rd ck;
+               replay_slice pl rd))
          boundaries)
   in
   let slices =
@@ -403,20 +276,12 @@ let run_sliced ?buffer_size ?jobs ?(slice_branches = 262_144) ?(engine = `Interp
     sl_parallel_s = parallel_s;
   }
 
-let run_design ?max_branches ?max_insns ?deadline ?buffer_size
-    ?(engine = `Interpreted) (d : Cobra_eval.Designs.t) ~path =
-  let name = d.Cobra_eval.Designs.name in
-  match engine with
-  | `Interpreted ->
-    let pl = Cobra_eval.Designs.pipeline d in
-    Reader.with_file ?buffer_size path (fun rd ->
-        run ?max_branches ?max_insns ?deadline ~design:name ~trace:path pl (fun () ->
-            Reader.next rd))
-  | `Compiled ->
-    let eng = compiled d in
-    Reader.with_file ?buffer_size path (fun rd ->
-        run_compiled ?max_branches ?max_insns ?deadline ~design:name ~trace:path eng
-          (fun () -> Reader.next rd))
+let run_design ?max_branches ?max_insns ?deadline ?buffer_size ?(engine = `Interpreted)
+    (d : Cobra_eval.Designs.t) ~path =
+  let pl = Cobra_eval.Designs.pipeline d in
+  Reader.with_file ?buffer_size path (fun rd ->
+      drive (step_of engine) ?max_branches ?max_insns ?deadline
+        ~design:d.Cobra_eval.Designs.name ~trace:path pl (fun () -> Reader.next rd))
 
 let run_design_with_stats ?max_branches ?max_insns ?deadline ?buffer_size ?(top = 20)
     (d : Cobra_eval.Designs.t) ~path =

@@ -1,15 +1,16 @@
 (** Predictor-only trace replay — the fast path of the trace frontend.
 
-    Drives a composed {!Cobra.Pipeline} (any [Topology.spec]) through the
-    predict/fire/resolve/commit contract one retired branch at a time,
-    without instantiating the uarch core model: no scoreboard, no wrong-path
-    fetch, no cycle accounting. This is the standard ChampSim/CBP
-    predict/update replay idiom, and it follows {e exactly} the protocol of
-    [Cobra_eval.Software_model] (and of the conformance kit's twin driver),
-    so for a trace exported from a workload the mispredict counters — and
-    hence MPKI — are bit-identical to driving the full pipeline composer
-    over the original stream, while running an order of magnitude faster
-    than the uarch model (pinned in BENCH_PR6.json).
+    Drives a composed {!Cobra.Pipeline} (any [Topology.spec]) one retired
+    branch at a time through the pipeline's replay mode, without
+    instantiating the uarch core model: no scoreboard, no wrong-path fetch,
+    no cycle accounting. This is the standard ChampSim/CBP predict/update
+    replay idiom. Every driver — this module, [Cobra_eval.Software_model]
+    and the conformance kit — uses the same two transactions
+    ([Pipeline.reference_step] and its closed form [Pipeline.replay_step])
+    and the same mispredict rule, so for a trace exported from a workload
+    the mispredict counters, and hence MPKI, are bit-identical to driving
+    the pipeline over the original stream, while running an order of
+    magnitude faster than the uarch model.
 
     The hot loop allocates O(1) state up front (one reusable slot vector)
     and streams records from the source, so a multi-million-branch trace
@@ -60,31 +61,14 @@ val run :
   Cobra.Pipeline.t ->
   source ->
   result
-(** Replay [source] through the pipeline. [deadline] is an absolute
-    [Unix.gettimeofday] time checked every 2048 branches; [observe] fires
-    per branch with the final-stage direction decision before state update
-    (the conformance lockstep hook); [progress] fires every
-    [progress_every] branches (default 262144). [design]/[trace] are labels
-    carried into the result. *)
-
-(** {1 Compiled engine}
-
-    The staged topology compiler ([Cobra_compile]) specializes a design
-    into a fused per-branch kernel; [run_compiled] is {!run} over that
-    engine. Counters, per-branch decisions and snapshot slabs are
-    bit-identical to the interpreted loop — certified by the
-    [compiled_twin] conformance checks — so every caller may pick the
-    engine freely per [engine_kind]. *)
-
-type engine_kind = [ `Interpreted | `Compiled ]
-
-val engine_name : engine_kind -> string
-val engine_of_string : string -> engine_kind
-(** Raises [Invalid_argument] on anything but ["interpreted"]/["compiled"]. *)
-
-val compiled : Cobra_eval.Designs.t -> Cobra_compile.Engine.t
-(** Compile a fresh engine for the design (topology elaborated anew, like
-    {!run_design} elaborates a fresh pipeline). *)
+(** Replay [source] through the pipeline with the reference transaction
+    ([Pipeline.reference_step]: predict, fire, resolve or mispredict,
+    commit), so an attached observer sees every protocol step. [deadline]
+    is an absolute [Unix.gettimeofday] time checked every 2048 branches;
+    [observe] fires per branch with the final-stage direction decision and
+    whether it was wrong (the conformance lockstep hook); [progress] fires
+    every [progress_every] branches (default 262144). [design]/[trace] are
+    labels carried into the result. *)
 
 val run_compiled :
   ?max_branches:int ->
@@ -95,11 +79,20 @@ val run_compiled :
   ?progress_every:int ->
   design:string ->
   trace:string ->
-  Cobra_compile.Engine.t ->
+  Cobra.Pipeline.t ->
   source ->
   result
-(** {!run} over a compiled engine — same caps, deadline, observer and
-    progress contract. *)
+(** {!run} with the closed-form transaction ([Pipeline.replay_step]): the
+    same loop, counters and per-branch decisions, several times faster.
+    Raises [Invalid_argument] when an observer is attached. *)
+
+type engine_kind = [ `Interpreted | `Compiled ]
+(** Which transaction {!run_design} replays with: [`Interpreted] is the
+    reference transaction ({!run}), [`Compiled] the closed form
+    ({!run_compiled}). *)
+
+val compiled : Cobra_eval.Designs.t -> Cobra.Pipeline.t
+(** [Designs.pipeline]: a fresh pipeline for the design. *)
 
 (** {1 Checkpoints}
 
@@ -131,33 +124,31 @@ val warmup :
   Cobra.Pipeline.t ->
   Reader.t ->
   checkpoint * result
-(** Replay exactly [branches] records (fewer at end of trace) and
-    checkpoint the boundary. Unlike [run ~max_branches], no record past
-    the cap is consumed, so the checkpoint resumes exactly where the
-    warmup stopped. *)
+(** Replay exactly [branches] records (fewer at end of trace) with the
+    reference transaction and checkpoint the boundary. Unlike
+    [run ~max_branches], no record past the cap is consumed, so the
+    checkpoint resumes exactly where the warmup stopped. *)
 
 val restore : Cobra.Pipeline.t -> Reader.t -> checkpoint -> unit
 (** Overwrite the pipeline state from the checkpoint's slab (one memcpy
     per region) and seek the reader back to the boundary. *)
-
-val checkpoint_compiled :
-  Cobra_compile.Engine.t -> Reader.t -> branches:int -> insns:int -> checkpoint
-(** {!checkpoint} for a compiled engine. The slab layout is identical to
-    the interpreted pipeline's, so checkpoints taken by either engine
-    restore into either engine of the same design. *)
 
 val warmup_compiled :
   ?deadline:float ->
   branches:int ->
   design:string ->
   trace:string ->
-  Cobra_compile.Engine.t ->
+  Cobra.Pipeline.t ->
   Reader.t ->
   checkpoint * result
-(** {!warmup} for a compiled engine. *)
+(** {!warmup} with the closed-form transaction. *)
 
-val restore_compiled : Cobra_compile.Engine.t -> Reader.t -> checkpoint -> unit
-(** {!restore} for a compiled engine. *)
+val checkpoint_compiled :
+  Cobra.Pipeline.t -> Reader.t -> branches:int -> insns:int -> checkpoint
+(** Same as {!checkpoint}. *)
+
+val restore_compiled : Cobra.Pipeline.t -> Reader.t -> checkpoint -> unit
+(** Same as {!restore}. *)
 
 val counters_equal : result -> result -> bool
 (** All five counters equal (wall-clock ignored) — the bit-identity
@@ -177,7 +168,6 @@ val run_sliced :
   ?buffer_size:int ->
   ?jobs:int ->
   ?slice_branches:int ->
-  ?engine:engine_kind ->
   Cobra_eval.Designs.t ->
   path:string ->
   sliced
@@ -185,8 +175,8 @@ val run_sliced :
     262144): a serial boundary pass replays the trace once, snapshotting
     the design at every slice boundary, then the parallel pass re-replays
     every slice concurrently across {!Cobra_runner.Pool} domains, each
-    from its boundary snapshot on a fresh simulator and reader. [engine]
-    (default [`Interpreted]) selects the simulator for both passes. Raises
+    from its boundary snapshot on a fresh pipeline and reader. Both passes
+    use the closed-form transaction. Raises
     [Failure] if any parallel slice's counters diverge from the serial
     pass — the handoff is certified bit-identical on every run. *)
 
@@ -199,9 +189,9 @@ val run_design :
   Cobra_eval.Designs.t ->
   path:string ->
   result
-(** Elaborate a fresh simulator for the design ([engine] defaults to
-    [`Interpreted]) and stream the trace file at [path] through it
-    ({!Reader} errors propagate). *)
+(** Elaborate a fresh pipeline for the design and stream the trace file at
+    [path] through it with the [engine] transaction (default
+    [`Interpreted], the reference). {!Reader} errors propagate. *)
 
 val run_design_with_stats :
   ?max_branches:int ->

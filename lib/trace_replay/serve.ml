@@ -77,23 +77,6 @@ let str_list name j =
   | Some Json.Null | None -> []
   | Some _ -> failwith (name ^ " must be a list of strings")
 
-(* Engine selection: serve defaults to the compiled engine — sweeps are the
-   throughput-critical path, and the compiled_twin conformance checks pin
-   its results bit-identical to the interpreter — while "engine":
-   "interpreted" forces the reference loop. Stats runs always interpret
-   (the collector attaches to a Pipeline). *)
-let engine_of_req req : Replay.engine_kind =
-  match Json.member "engine" req with
-  | None | Some Json.Null -> `Compiled
-  | Some (Json.String s) -> (
-    try Replay.engine_of_string s
-    with Invalid_argument _ ->
-      failwith (Printf.sprintf "unknown engine %S (know: interpreted, compiled)" s))
-  | Some _ -> failwith "engine must be a string"
-
-let engine_field (engine : Replay.engine_kind) =
-  ("engine", Json.String (Replay.engine_name engine))
-
 let find_design name =
   if String.equal name Cobra_eval.Designs.gshare_only.Cobra_eval.Designs.name then
     Cobra_eval.Designs.gshare_only
@@ -135,12 +118,10 @@ let result_of_perf ~design ~trace (p : Cobra_uarch.Perf.t) =
     elapsed_s = 0.0;
   }
 
-(* Replay one (design, trace) point, answering repeats from the
-   content-addressed cache. Returns the result and whether it was a hit.
-   The cache key is engine-independent: compiled and interpreted counters
-   are certified bit-identical, so either engine's result answers both. *)
-let cached_replay cfg ?(use_cache = true) ?(engine = `Compiled)
-    (d : Cobra_eval.Designs.t) ~trace opts =
+(* Replay one (design, trace) point with the closed-form transaction,
+   answering repeats from the content-addressed cache. Returns the result
+   and whether it was a hit. *)
+let cached_replay cfg ?(use_cache = true) (d : Cobra_eval.Designs.t) ~trace opts =
   if not (Sys.file_exists trace) then failwith ("no such trace file: " ^ trace);
   let deadline =
     Option.map (fun s -> Unix.gettimeofday () +. s) cfg.timeout_s
@@ -156,7 +137,7 @@ let cached_replay cfg ?(use_cache = true) ?(engine = `Compiled)
   | None ->
     let r =
       Replay.run_design ?max_branches:opts.max_branches ?max_insns:opts.max_insns
-        ?deadline ~engine d ~path:trace
+        ?deadline ~engine:`Compiled d ~path:trace
     in
     if r.Replay.branches = 0 then
       failwith
@@ -273,17 +254,14 @@ let window_cache_key (d : Cobra_eval.Designs.t) ~trace_digest wopts ~window =
     ]
 
 (* Replay [windows] consecutive measurement windows of a trace behind a
-   shared warmup, reusing the warm snapshot when one is cached. [engine]
-   picks the simulator (default compiled — one engine is compiled per
-   point and fed the cached warm checkpoint, whose slab layout both
-   engines share). With [verify] the whole region is recomputed on a
-   fresh {e interpreted} pipeline without any snapshot involved and every
-   window's counters are required to match bit-for-bit — under a compiled
-   engine that one flag certifies both the snapshot handoff and the
-   staged compilation. Returns (per-window results, warm checkpoint came
-   from the cache, windows answered from the on-disk cache). *)
-let windowed_replay cfg ?(use_cache = true) ?(engine = `Compiled)
-    (d : Cobra_eval.Designs.t) ~trace wopts =
+   shared warmup with the closed-form transaction, reusing the warm
+   snapshot when one is cached. With [verify] the whole region is
+   recomputed on a fresh pipeline with the reference transaction and
+   without any snapshot involved, and every window's counters are required
+   to match bit-for-bit: one flag certifies both the snapshot handoff and
+   the closed form. Returns (per-window results, warm checkpoint came from
+   the cache, windows answered from the on-disk cache). *)
+let windowed_replay cfg ?(use_cache = true) (d : Cobra_eval.Designs.t) ~trace wopts =
   if not (Sys.file_exists trace) then failwith ("no such trace file: " ^ trace);
   let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) cfg.timeout_s in
   let name = d.Cobra_eval.Designs.name in
@@ -305,32 +283,23 @@ let windowed_replay cfg ?(use_cache = true) ?(engine = `Compiled)
   | None ->
     let wk = warm_key d ~trace_digest ~warmup_branches:wopts.warmup_branches in
     Reader.with_file trace (fun rd ->
-        let sim_warmup, sim_restore =
-          match (engine : Replay.engine_kind) with
-          | `Interpreted ->
-            let pl = Cobra_eval.Designs.pipeline d in
-            ( (fun ~branches rd ->
-                Replay.warmup ?deadline ~branches ~design:name ~trace pl rd),
-              fun rd ck -> Replay.restore pl rd ck )
-          | `Compiled ->
-            let eng = Replay.compiled d in
-            ( (fun ~branches rd ->
-                Replay.warmup_compiled ?deadline ~branches ~design:name ~trace eng rd),
-              fun rd ck -> Replay.restore_compiled eng rd ck )
+        let pl = Cobra_eval.Designs.pipeline d in
+        let warmup ~branches rd =
+          Replay.warmup_compiled ?deadline ~branches ~design:name ~trace pl rd
         in
         let warm_cached =
           match warm_find wk with
           | Some ck ->
-            sim_restore rd ck;
+            Replay.restore pl rd ck;
             true
           | None ->
-            let ck, _warm_res = sim_warmup ~branches:wopts.warmup_branches rd in
+            let ck, _warm_res = warmup ~branches:wopts.warmup_branches rd in
             warm_store wk ck;
             false
         in
         let results = ref [] in
         for _w = 1 to wopts.windows do
-          let _next_ck, r = sim_warmup ~branches:wopts.window_branches rd in
+          let _next_ck, r = warmup ~branches:wopts.window_branches rd in
           results := r :: !results
         done;
         let results = List.rev !results in
@@ -380,7 +349,6 @@ let handle_replay cfg send ?id req =
     | _ -> failwith "replay needs a \"trace\" path"
   in
   let opts = { max_branches = opt_int "max_branches" req; max_insns = opt_int "max_insns" req } in
-  let engine = engine_of_req req in
   let d = find_design design in
   emit cfg send ?id ~event:"accepted"
     [ ("design", Json.String d.Cobra_eval.Designs.name); ("trace", Json.String trace) ];
@@ -396,13 +364,12 @@ let handle_replay cfg send ?id req =
       report.Cobra_stats.Report.intervals;
     emit cfg send ?id ~event:"stats"
       [ ("summary", Json.String (Cobra_stats.Report.summary report)) ];
-    emit cfg send ?id ~event:"result"
-      (result_fields ~cached:false res @ [ engine_field `Interpreted ])
+    emit cfg send ?id ~event:"result" (result_fields ~cached:false res)
   end
   else begin
     let use_cache = not (bool_member "no_cache" req) in
-    let r, cached = cached_replay cfg ~use_cache ~engine d ~trace opts in
-    emit cfg send ?id ~event:"result" (result_fields ~cached r @ [ engine_field engine ])
+    let r, cached = cached_replay cfg ~use_cache d ~trace opts in
+    emit cfg send ?id ~event:"result" (result_fields ~cached r)
   end
 
 let handle_sweep cfg send ?id req =
@@ -414,7 +381,6 @@ let handle_sweep cfg send ?id req =
     | names -> List.map find_design names
   in
   let use_cache = not (bool_member "no_cache" req) in
-  let engine = engine_of_req req in
   let opts = { max_branches = opt_int "max_branches" req; max_insns = opt_int "max_insns" req } in
   let windowed =
     match opt_int "warmup_branches" req with
@@ -443,15 +409,14 @@ let handle_sweep cfg send ?id req =
     let outcomes =
       Cobra_runner.Pool.map ~jobs:cfg.jobs ~attempts:1
         (List.map
-           (fun (d, trace) () -> cached_replay cfg ~use_cache ~engine d ~trace opts)
+           (fun (d, trace) () -> cached_replay cfg ~use_cache d ~trace opts)
            points)
     in
     List.iter2
       (fun (d, trace) outcome ->
         match outcome with
         | Ok (r, cached) ->
-          emit cfg send ?id ~event:"result"
-            (result_fields ~cached r @ [ engine_field engine ])
+          emit cfg send ?id ~event:"result" (result_fields ~cached r)
         | Error (e : Cobra_runner.Pool.error) ->
           incr failures;
           emit cfg send ?id ~event:"error"
@@ -465,7 +430,7 @@ let handle_sweep cfg send ?id req =
     let outcomes =
       Cobra_runner.Pool.map ~jobs:cfg.jobs ~attempts:1
         (List.map
-           (fun (d, trace) () -> windowed_replay cfg ~use_cache ~engine d ~trace wopts)
+           (fun (d, trace) () -> windowed_replay cfg ~use_cache d ~trace wopts)
            points)
     in
     List.iter2
@@ -480,7 +445,6 @@ let handle_sweep cfg send ?id req =
                     ("window", Json.Int w);
                     ("warm_cached", Json.Bool warm_cached);
                     ("verified", Json.Bool wopts.verify);
-                    engine_field engine;
                   ]))
             rs
         | Error (e : Cobra_runner.Pool.error) ->
@@ -571,6 +535,27 @@ let ignore_sigpipe () =
   | _ -> ()
   | exception Invalid_argument _ -> ()
 
+(* The longest request line a connection may send; anything longer is
+   refused before it can grow the daemon's heap. *)
+let max_request_bytes = 1 lsl 20
+
+(* [input_line] with a cap: [`Too_long] as soon as the line outgrows
+   [max_request_bytes]. A final line without a newline still counts. *)
+let read_request ic =
+  let buf = Buffer.create 256 in
+  let rec go () =
+    match input_char ic with
+    | '\n' -> `Line (Buffer.contents buf)
+    | c ->
+      if Buffer.length buf >= max_request_bytes then `Too_long
+      else begin
+        Buffer.add_char buf c;
+        go ()
+      end
+    | exception End_of_file -> if Buffer.length buf = 0 then `Eof else `Line (Buffer.contents buf)
+  in
+  go ()
+
 let handle_connection cfg stopping fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
@@ -585,10 +570,17 @@ let handle_connection cfg stopping fd =
         flush oc)
   in
   let rec loop () =
-    match input_line ic with
-    | exception End_of_file -> ()
-    | exception Sys_error _ -> ()
-    | line ->
+    match read_request ic with
+    | `Eof | (exception Sys_error _) -> ()
+    | `Too_long ->
+      (* the rest of the line is never read: answer, then drop the client *)
+      emit cfg send ~event:"error"
+        [
+          ( "error",
+            Json.String (Printf.sprintf "request longer than %d bytes" max_request_bytes) );
+        ];
+      emit cfg send ~event:"done" []
+    | `Line line ->
       if String.trim line = "" then loop ()
       else begin
         match handle_line cfg send line with
@@ -608,9 +600,31 @@ let handle_connection cfg stopping fd =
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     loop
 
+(* Take the socket path over only when nobody answers on it: a live daemon
+   keeps its socket, a stale socket file is removed, and anything else at
+   the path is left alone. *)
+let claim_socket path =
+  match Unix.stat path with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+  | st ->
+    if st.Unix.st_kind <> Unix.S_SOCK then
+      failwith (Printf.sprintf "cobra serve: %s exists and is not a socket" path);
+    let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let live =
+      Fun.protect
+        ~finally:(fun () -> Unix.close probe)
+        (fun () ->
+          match Unix.connect probe (Unix.ADDR_UNIX path) with
+          | () -> true
+          | exception Unix.Unix_error _ -> false)
+    in
+    if live then
+      failwith (Printf.sprintf "cobra serve: a daemon is already listening on %s" path);
+    Unix.unlink path
+
 let serve cfg =
   ignore_sigpipe ();
-  if Sys.file_exists cfg.socket then Unix.unlink cfg.socket;
+  claim_socket cfg.socket;
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind sock (Unix.ADDR_UNIX cfg.socket);
   Unix.listen sock 16;

@@ -11,10 +11,10 @@
     - [{"op": "replay", "design": D, "trace", PATH, ...}] — one replay
       point. Optional fields: [max_branches], [max_insns] (caps),
       [stats: true] (attach the collector; streams ["interval"] points and
-      a ["stats"] summary, skips the result cache), [no_cache: true],
-      ["engine": "compiled"|"interpreted"] (default compiled — the staged
-      topology compiler's engine, bit-identical to the interpreter per the
-      compiled_twin conformance checks; stats runs always interpret).
+      a ["stats"] summary and replays with the reference transaction,
+      skips the result cache), [no_cache: true]. Other replays use the
+      pipeline's closed-form replay transaction, bit-identical to the
+      reference per the compiled_twin conformance checks.
     - [{"op": "sweep", "designs": [..], "traces": [..], ...}] — the full
       cross product, sharded over the domain pool; one ["result"] event per
       point as it completes (submission order), same optional caps.
@@ -27,11 +27,11 @@
       one memcpy per region instead of re-warming), then measures
       [windows] consecutive windows of [window_branches] branches; one
       ["result"] event per window carries ["window"], ["warm_cached"],
-      ["verified"] and ["engine"]. [verify: true] recomputes the whole
-      region on a fresh {e interpreted} pipeline without snapshots and
-      fails the request unless every window's counters match bit-for-bit
-      — under the default compiled engine this certifies both the
-      snapshot handoff and the compilation in one pass. The warm cache is
+      and ["verified"]. [verify: true] recomputes the whole region on a
+      fresh pipeline with the reference transaction and without snapshots,
+      and fails the request unless every window's counters match
+      bit-for-bit — certifying both the snapshot handoff and the closed
+      form in one pass. The warm cache is
       a bounded LRU of [COBRA_WARM_CACHE] checkpoints (default 64,
       minimum 1); ["sweep_summary"] events report ["warm_entries"] and
       ["warm_evictions"].
@@ -44,7 +44,9 @@
     are answered from the runner's content-addressed result cache keyed on
     design topology + pipeline config + trace file digest + caps. A
     malformed or failing request produces an ["error"] event (plus "done")
-    on that connection only — the daemon survives. Per-request work is
+    on that connection only — the daemon survives. A request line longer
+    than 1 MiB is answered with an ["error"] event and ["done"], and that
+    connection is closed. Per-request work is
     bounded by the server's timeout and runs isolated, so one poisoned
     trace cannot wedge the pool. *)
 
@@ -66,8 +68,10 @@ val default_config : socket:string -> config
 (** No timeout, no log, no extra ops, pool-default jobs. *)
 
 val serve : config -> unit
-(** Bind (unlinking any stale socket first), then accept-loop until a
-    [shutdown] request arrives. Each connection is handled on its own
+(** Bind, then accept-loop until a [shutdown] request arrives. An existing
+    socket file is replaced only when no daemon answers on it: raises
+    [Failure] naming the path when a live daemon already listens there, or
+    when the path is not a socket. Each connection is handled on its own
     thread; [SIGPIPE] is ignored so a client hanging up mid-stream only
     ends that connection. *)
 

@@ -65,10 +65,15 @@ module Packer = struct
     if t.pos + bits > t.width then
       invalid_arg
         (Printf.sprintf "Bitpack.Packer.add: fields overflow declared width %d" t.width);
-    let j = t.pos / limb_bits and k = t.pos mod limb_bits in
-    t.scratch.(j) <- t.scratch.(j) lor ((v lsl k) land limb_mask);
-    if k + bits > limb_bits then t.scratch.(j + 1) <- t.scratch.(j + 1) lor (v lsr (limb_bits - k));
-    t.pos <- t.pos + bits
+    (* a zero-width field writes nothing; at a full final limb its index
+       would be one past the end *)
+    if bits > 0 then begin
+      let j = t.pos / limb_bits and k = t.pos mod limb_bits in
+      t.scratch.(j) <- t.scratch.(j) lor ((v lsl k) land limb_mask);
+      if k + bits > limb_bits then
+        t.scratch.(j + 1) <- t.scratch.(j + 1) lor (v lsr (limb_bits - k));
+      t.pos <- t.pos + bits
+    end
 
   let finish t =
     if t.pos <> t.width then

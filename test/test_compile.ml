@@ -1,20 +1,20 @@
-(* Staged-compilation certification beyond the fixed conformance suites:
+(* Replay-mode certification beyond the fixed conformance suites:
 
    - a seeded property over {e random} well-formed topology specs (random
      component subsets and arbitration orders, random geometry knobs,
-     including path_bits = 0 and predecode correction off): the compiled
-     engine must agree with the interpreted pipeline branch-for-branch on
-     direction and mispredict decisions and end with a bit-identical
-     snapshot slab, with shrinking and COBRA_SEED replay hints via
-     {!Prop};
-   - checkpoint interchange: slabs taken by either engine restore into the
-     other and reproduce the non-snapshot oracle window bit-for-bit;
-   - [Replay.run_sliced ~engine:`Compiled]: slice boundaries handed off
-     through compiled warmup/restore, totals equal to a single interpreted
-     pass;
-   - windowed [cobra serve] sweeps on the compiled engine, including
-     [verify] (interpreted recomputation) and the warm-checkpoint reuse
-     path;
+     including path_bits = 0 and predecode correction off): the closed-form
+     transaction ([Pipeline.replay_step]) must agree with the reference
+     transaction branch-for-branch on direction and mispredict decisions
+     and end with a bit-identical snapshot slab, with shrinking and
+     COBRA_SEED replay hints via {!Prop};
+   - mode interleaving: one pipeline alternating closed-form windows,
+     reference windows and general-protocol excursions stays bit-identical
+     to a reference-only twin, and the closed form refuses a pipeline that
+     is not quiesced or is observed;
+   - time-sliced replay: every closed-form slice of [Replay.run_sliced]
+     equals the reference transaction resumed at that slice's boundary;
+   - windowed [cobra serve] sweeps, including [verify] (reference
+     recomputation) and the warm-checkpoint reuse path;
    - the warm-cache LRU regression: with [COBRA_WARM_CACHE] at 2, three
      distinct warm regions must evict down to the cap and bump the
      eviction counter. *)
@@ -23,12 +23,11 @@ open Cobra
 module Slab = Cobra_util.Slab
 module Designs = Cobra_eval.Designs
 module Fuzz = Cobra_conformance.Fuzz
-module Engine = Cobra_compile.Engine
-module Replay = Cobra_trace_replay.Replay
-module Reader = Cobra_trace_replay.Reader
 module Writer = Cobra_trace_replay.Writer
 module Btrace = Cobra_trace_replay.Btrace
 module Serve = Cobra_trace_replay.Serve
+module Reader = Cobra_trace_replay.Reader
+module Replay = Cobra_trace_replay.Replay
 module C = Cobra_components
 
 let check = Alcotest.check
@@ -235,64 +234,158 @@ let config_of tc =
     predecode_history_correction = tc.t_predecode;
   }
 
-(* The conformance step driver (replay protocol, one branch per packet). *)
-let drive pl (b : Fuzz.branch) =
-  let tok = Pipeline.predict pl ~pc:b.Fuzz.br_pc ~max_len:1 in
-  let stages = Pipeline.stages pl tok in
-  let final = (stages.(Array.length stages - 1)).(0) in
-  let taken_pred =
-    match final.Types.o_taken with
-    | Some t -> t
-    | None -> Types.is_unconditional b.Fuzz.br_kind
-  in
-  let target_pred = Option.value final.Types.o_target ~default:(-1) in
-  let wrong =
-    taken_pred <> b.Fuzz.br_taken
-    || (b.Fuzz.br_taken
-       && Types.is_unconditional b.Fuzz.br_kind
-       && b.Fuzz.br_kind <> Types.Ret
-       && target_pred <> b.Fuzz.br_target)
-  in
-  let slots = Array.make width Types.no_branch in
-  slots.(0) <-
-    Types.resolved_branch ~kind:b.Fuzz.br_kind ~taken:taken_pred
-      ~target:(if taken_pred then b.Fuzz.br_target else 0);
-  let seq = Pipeline.fire pl tok ~slots ~packet_len:1 in
-  let actual =
-    Types.resolved_branch ~kind:b.Fuzz.br_kind ~taken:b.Fuzz.br_taken ~target:b.Fuzz.br_target
-  in
-  if wrong then Pipeline.mispredict pl ~seq ~slot:0 actual
-  else Pipeline.resolve pl ~seq ~slot:0 actual;
-  Pipeline.commit pl;
-  (taken_pred, wrong)
+let step mode pl (b : Fuzz.branch) =
+  mode pl ~pc:b.Fuzz.br_pc ~kind:b.Fuzz.br_kind ~taken:b.Fuzz.br_taken ~target:b.Fuzz.br_target
 
 let compile_equiv tc =
   let cfg = config_of tc in
-  let pl = Pipeline.create cfg (build_topo tc.t_topo) in
-  let eng = Engine.create cfg (build_topo tc.t_topo) in
+  let reference = Pipeline.create cfg (build_topo tc.t_topo) in
+  let fast = Pipeline.create cfg (build_topo tc.t_topo) in
   let bs = Fuzz.branches { Fuzz.seed = tc.t_sseed; shape = tc.t_shape; length = tc.t_len } in
   List.iteri
     (fun i (b : Fuzz.branch) ->
-      let tp_i, w_i = drive pl b in
-      let w_c =
-        Engine.step eng ~pc:b.Fuzz.br_pc ~kind:b.Fuzz.br_kind ~taken:b.Fuzz.br_taken
-          ~target:b.Fuzz.br_target
-      in
-      let tp_c = Engine.last_taken_pred eng in
-      if tp_i <> tp_c || w_i <> w_c then
+      let w_r = step Pipeline.reference_step reference b in
+      let w_f = step Pipeline.replay_step fast b in
+      let tp_r = Pipeline.last_taken_pred reference and tp_f = Pipeline.last_taken_pred fast in
+      if tp_r <> tp_f || w_r <> w_f then
         Alcotest.failf
-          "branch %d/%d (pc=0x%x taken=%b): interpreted taken_pred=%b wrong=%b, compiled \
+          "branch %d/%d (pc=0x%x taken=%b): reference taken_pred=%b wrong=%b, replay mode \
            taken_pred=%b wrong=%b"
-          i tc.t_len b.Fuzz.br_pc b.Fuzz.br_taken tp_i w_i tp_c w_c)
+          i tc.t_len b.Fuzz.br_pc b.Fuzz.br_taken tp_r w_r tp_f w_f)
     bs;
-  if not (Slab.equal (Pipeline.snapshot pl) (Engine.snapshot eng)) then
-    Alcotest.fail "final snapshot slabs differ between interpreted and compiled"
+  if not (Slab.equal (Pipeline.snapshot reference) (Pipeline.snapshot fast)) then
+    Alcotest.fail "final snapshot slabs differ between the reference and replay mode"
 
 let test_random_topologies () =
-  Prop.check ~count:60 ~name:"compiled engine = interpreted pipeline on random topologies"
+  Prop.check ~count:60 ~name:"replay mode = reference transaction on random topologies"
     tcase_arb compile_equiv
 
-(* --- checkpoint interchange ------------------------------------------------------ *)
+(* The flattened evaluator against the recursive definition of the stage
+   composites: a node's opinion shows from its latency on and overrides
+   everything below it; a selector overrides its first sub-topology. The
+   oracle recomputes every stage from the per-component raw predictions an
+   observer receives, for full-width packets. *)
+let rec oracle id raw topo (below : Types.prediction array) =
+  let overlay (c : Component.t) weak =
+    Array.mapi
+      (fun s b -> if s + 1 < c.latency then b else Types.merge ~strong:raw.(id c) ~weak:b)
+      weak
+  in
+  match topo with
+  | Topology.Node c -> overlay c below
+  | Topology.Override (hi, lo) -> oracle id raw hi (oracle id raw lo below)
+  | Topology.Arbitrate (sel, subs) ->
+    overlay sel (oracle id raw (List.hd subs) below)
+
+let evaluator_matches_oracle tc =
+  let cfg = config_of tc in
+  let pl = Pipeline.create cfg (build_topo tc.t_topo) in
+  let comps = Pipeline.components pl and depth = Pipeline.depth pl in
+  let id c =
+    let rec find i = if comps.(i) == c then i else find (i + 1) in
+    find 0
+  in
+  let raw = ref [||] in
+  Pipeline.set_observer pl
+    (Some (function Pipeline.Fired { raw = Some r; _ } -> raw := r | _ -> ()));
+  let bs = Fuzz.branches { Fuzz.seed = tc.t_sseed; shape = tc.t_shape; length = tc.t_len } in
+  List.iteri
+    (fun i (b : Fuzz.branch) ->
+      let tok = Pipeline.predict pl ~pc:b.Fuzz.br_pc ~max_len:width in
+      let stages = Pipeline.stages pl tok in
+      let final = stages.(depth - 1).(0) in
+      let taken_pred = Pipeline.predicted_taken ~kind:b.Fuzz.br_kind final in
+      let slots = Array.make width Types.no_branch in
+      slots.(0) <-
+        Types.resolved_branch ~kind:b.Fuzz.br_kind ~taken:taken_pred
+          ~target:(if taken_pred then b.Fuzz.br_target else 0);
+      let seq = Pipeline.fire pl tok ~slots ~packet_len:1 in
+      let expect =
+        oracle id !raw (Pipeline.topology pl)
+          (Array.make depth (Types.no_prediction ~width))
+      in
+      Array.iteri
+        (fun s e ->
+          if not (Types.equal_prediction e stages.(s)) then
+            Alcotest.failf "branch %d: stage %d composite differs from the oracle" i (s + 1))
+        expect;
+      let actual =
+        Types.resolved_branch ~kind:b.Fuzz.br_kind ~taken:b.Fuzz.br_taken
+          ~target:b.Fuzz.br_target
+      in
+      if
+        Pipeline.mispredicted ~kind:b.Fuzz.br_kind ~taken:b.Fuzz.br_taken
+          ~target:b.Fuzz.br_target final
+      then Pipeline.mispredict pl ~seq ~slot:0 actual
+      else Pipeline.resolve pl ~seq ~slot:0 actual;
+      Pipeline.commit pl)
+    bs
+
+let test_evaluator_oracle () =
+  Prop.check ~count:60 ~name:"stage composites = recursive oracle on random topologies"
+    tcase_arb evaluator_matches_oracle
+
+(* --- mode interleaving ------------------------------------------------------------ *)
+
+(* A 4-wide general-protocol excursion: predicted, then squashed. *)
+let excursion pl pc =
+  ignore (Pipeline.predict pl ~pc ~max_len:width);
+  Pipeline.squash_all_pending pl
+
+(* One pipeline alternates 50-branch windows of the closed form and of the
+   reference transaction, with an excursion between windows; its twin runs
+   the reference transaction throughout, with the same excursions. Every
+   decision, every metadata word and the final slab must match. *)
+let test_mode_interleaving () =
+  List.iter
+    (fun (d : Designs.t) ->
+      let mixed = Designs.pipeline d and reference = Designs.pipeline d in
+      let bs = Fuzz.branches { Fuzz.seed; shape = Fuzz.Mixed; length = 400 } in
+      List.iteri
+        (fun i (b : Fuzz.branch) ->
+          let window = i / 50 in
+          if i mod 50 = 0 && window > 0 then begin
+            excursion mixed b.Fuzz.br_pc;
+            excursion reference b.Fuzz.br_pc
+          end;
+          let mode =
+            if window mod 2 = 0 then Pipeline.replay_step else Pipeline.reference_step
+          in
+          let w_m = step mode mixed b in
+          let w_r = step Pipeline.reference_step reference b in
+          let what = Printf.sprintf "%s branch %d" d.Designs.name i in
+          check Alcotest.bool (what ^ " wrong") w_r w_m;
+          check Alcotest.bool (what ^ " taken_pred") (Pipeline.last_taken_pred reference)
+            (Pipeline.last_taken_pred mixed);
+          check
+            Alcotest.(array string)
+            (what ^ " metas")
+            (Array.map Cobra_util.Bits.to_string (Pipeline.last_metas reference))
+            (Array.map Cobra_util.Bits.to_string (Pipeline.last_metas mixed)))
+        bs;
+      check Alcotest.bool (d.Designs.name ^ " final slab") true
+        (Slab.equal (Pipeline.snapshot reference) (Pipeline.snapshot mixed)))
+    [ Designs.tourney; Designs.tage_l ]
+
+let test_replay_step_preconditions () =
+  let refused what pl =
+    match
+      Pipeline.replay_step pl ~pc:0x1000 ~kind:Types.Cond ~taken:true ~target:0x1040
+    with
+    | _ -> Alcotest.failf "replay_step accepted %s" what
+    | exception Invalid_argument _ -> ()
+  in
+  let pl = Designs.pipeline Designs.tourney in
+  let tok = Pipeline.predict pl ~pc:0x1000 ~max_len:width in
+  refused "a pending packet" pl;
+  let slots = Array.make width Types.no_branch in
+  ignore (Pipeline.fire pl tok ~slots ~packet_len:1);
+  refused "an in-flight entry" pl;
+  Pipeline.commit pl;
+  Pipeline.set_observer pl (Some ignore);
+  refused "an attached observer" pl;
+  Pipeline.set_observer pl None;
+  ignore (Pipeline.replay_step pl ~pc:0x1000 ~kind:Types.Cond ~taken:true ~target:0x1040)
 
 let fuzz_records length =
   List.map
@@ -314,69 +407,39 @@ let with_trace length f =
       Writer.save ~format:Btrace.Binary path (fuzz_records length);
       f path)
 
-(* Slabs interchange between engines: a warm checkpoint taken by one engine,
-   restored into the other, must reproduce the continuous-replay oracle
-   window bit-for-bit. *)
-let test_checkpoint_interchange () =
-  let d = Designs.tourney in
-  let name = d.Designs.name in
-  let len = 400 and warm = 250 in
-  with_trace len (fun path ->
-      let oracle =
-        Reader.with_file path (fun rd ->
-            let pl = Designs.pipeline d in
-            let _ck, _w = Replay.warmup ~branches:warm ~design:name ~trace:path pl rd in
-            let _ck, r =
-              Replay.warmup ~branches:(len - warm) ~design:name ~trace:path pl rd
-            in
-            r)
-      in
-      (* interpreted warm checkpoint -> compiled engine *)
-      let ck_i =
-        Reader.with_file path (fun rd ->
-            let pl = Designs.pipeline d in
-            let ck, _w = Replay.warmup ~branches:warm ~design:name ~trace:path pl rd in
-            ck)
-      in
-      Reader.with_file path (fun rd ->
-          let eng = Replay.compiled d in
-          Replay.restore_compiled eng rd ck_i;
-          let _ck, r =
-            Replay.warmup_compiled ~branches:(len - warm) ~design:name ~trace:path eng rd
-          in
-          check Alcotest.bool "interpreted checkpoint drives the compiled engine" true
-            (Replay.counters_equal r oracle));
-      (* compiled warm checkpoint -> interpreted pipeline *)
-      let ck_c =
-        Reader.with_file path (fun rd ->
-            let eng = Replay.compiled d in
-            let ck, _w =
-              Replay.warmup_compiled ~branches:warm ~design:name ~trace:path eng rd
-            in
-            ck)
-      in
-      Reader.with_file path (fun rd ->
-          let pl = Designs.pipeline d in
-          Replay.restore pl rd ck_c;
-          let _ck, r =
-            Replay.warmup ~branches:(len - warm) ~design:name ~trace:path pl rd
-          in
-          check Alcotest.bool "compiled checkpoint drives the interpreted pipeline" true
-            (Replay.counters_equal r oracle)))
+(* --- time-sliced replay against the reference transaction ------------------------ *)
 
-(* run_sliced itself raises if any compiled slice diverges from the compiled
-   serial boundary pass; comparing its total against a plain interpreted
-   replay closes the loop across engines. *)
+(* run_sliced replays every slice with the closed form and certifies the
+   parallel pass against its own serial pass; here each slice is checked
+   against the reference transaction instead: a reference pipeline warmed
+   up to the slice's first branch and then run for the slice's length must
+   produce the same counters. TAGE-L over 350 branches in slices of 120
+   leaves a ragged last slice of 110. *)
 let test_run_sliced_compiled () =
-  let d = Designs.tourney in
+  let d = Designs.tage_l in
+  let slice = 120 in
   with_trace 350 (fun path ->
-      let whole = Replay.run_design d ~path in
-      let sliced = Replay.run_sliced ~jobs:2 ~slice_branches:100 ~engine:`Compiled d ~path in
-      check Alcotest.int "slice count" 4 (List.length sliced.Replay.sl_slices);
-      check Alcotest.bool "compiled sliced totals equal the interpreted single pass" true
-        (Replay.counters_equal sliced.Replay.sl_total whole))
+      let sliced = Replay.run_sliced ~jobs:2 ~slice_branches:slice d ~path in
+      check Alcotest.(list int) "slice lengths" [ 120; 120; 110 ]
+        (List.map (fun (r : Replay.result) -> r.Replay.branches) sliced.Replay.sl_slices);
+      List.iteri
+        (fun i (r : Replay.result) ->
+          let reference =
+            Reader.with_file path (fun rd ->
+                let pl = Designs.pipeline d in
+                let name = d.Designs.name in
+                ignore (Replay.warmup ~branches:(i * slice) ~design:name ~trace:path pl rd);
+                snd (Replay.warmup ~branches:slice ~design:name ~trace:path pl rd))
+          in
+          check Alcotest.bool
+            (Printf.sprintf "slice %d equals the reference transaction" i)
+            true
+            (Replay.counters_equal r reference))
+        sliced.Replay.sl_slices;
+      check Alcotest.bool "sliced totals equal the reference single pass" true
+        (Replay.counters_equal sliced.Replay.sl_total (Replay.run_design d ~path)))
 
-(* --- windowed serve sweeps on the compiled engine -------------------------------- *)
+(* --- windowed serve sweeps ----------------------------------------------------------- *)
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -402,7 +465,7 @@ let test_serve_windowed_compiled () =
       let cfg = serve_cfg () in
       let req =
         Printf.sprintf
-          {|{"op": "sweep", "designs": ["Tourney"], "traces": ["%s"], "warmup_branches": 120, "window_branches": 60, "windows": 3, "verify": true, "engine": "compiled", "no_cache": true}|}
+          {|{"op": "sweep", "designs": ["Tourney"], "traces": ["%s"], "warmup_branches": 120, "window_branches": 60, "windows": 3, "verify": true, "no_cache": true}|}
           path
       in
       let status, out = collect_handle cfg req in
@@ -410,9 +473,8 @@ let test_serve_windowed_compiled () =
       let all = String.concat "\n" out in
       check Alcotest.int "no error events" 0 (count_events out {|"event": "error"|});
       check Alcotest.int "one result per window" 3 (count_events out {|"event": "result"|});
-      check_contains "windows verified against the interpreted oracle" all
+      check_contains "windows verified against the reference oracle" all
         {|"verified": true|};
-      check_contains "results carry the engine" all {|"engine": "compiled"|};
       check_contains "summary reports warm telemetry" all {|"warm_entries"|};
       check_contains "terminator" all {|"event": "done"|};
       (* repeat: the warm checkpoint is reused across requests (restore
@@ -421,19 +483,6 @@ let test_serve_windowed_compiled () =
       let all2 = String.concat "\n" out2 in
       check Alcotest.int "repeat has no errors" 0 (count_events out2 {|"event": "error"|});
       check_contains "warm checkpoint reused" all2 {|"warm_cached": true|})
-
-let test_serve_unknown_engine () =
-  with_trace 50 (fun path ->
-      let cfg = serve_cfg () in
-      let status, out =
-        collect_handle cfg
-          (Printf.sprintf
-             {|{"op": "replay", "design": "Tourney", "trace": "%s", "engine": "warp"}|} path)
-      in
-      check Alcotest.bool "daemon survives" true (status = `Continue);
-      let all = String.concat "\n" out in
-      check_contains "error names the engine" all "unknown engine";
-      check_contains "terminator still sent" all {|"event": "done"|})
 
 (* --- warm-cache LRU regression ---------------------------------------------------- *)
 
@@ -475,19 +524,23 @@ let () =
         [
           Alcotest.test_case "random topology compile/interpret equivalence" `Quick
             test_random_topologies;
+          Alcotest.test_case "random topology evaluator vs recursive oracle" `Quick
+            test_evaluator_oracle;
+        ] );
+      ( "replay-mode",
+        [
+          Alcotest.test_case "fast and reference windows interleave" `Quick
+            test_mode_interleaving;
+          Alcotest.test_case "replay_step refuses a busy pipeline" `Quick
+            test_replay_step_preconditions;
         ] );
       ( "checkpoints",
-        [
-          Alcotest.test_case "checkpoint interchange across engines" `Quick
-            test_checkpoint_interchange;
-          Alcotest.test_case "time-sliced compiled replay" `Quick test_run_sliced_compiled;
-        ] );
+        [ Alcotest.test_case "time-sliced compiled replay" `Quick test_run_sliced_compiled ]
+      );
       ( "serve",
         [
           Alcotest.test_case "windowed sweep on the compiled engine" `Quick
             test_serve_windowed_compiled;
-          Alcotest.test_case "unknown engine is an error event" `Quick
-            test_serve_unknown_engine;
           Alcotest.test_case "warm cache LRU cap" `Quick test_warm_cache_lru;
         ] );
     ]

@@ -267,6 +267,46 @@ let test_mixed_custom_topology_end_to_end () =
     true
     (Perf.branch_accuracy perf > 0.9)
 
+(* --- pinned uarch counters ------------------------------------------------------ *)
+
+(* Exact [Experiment.run] counters for four designs on two workloads at a
+   fixed instruction budget: (cycles, instructions, mispredicts,
+   cond_mispredicts, wrong-path packets). The uarch core queries the
+   pipeline's topology evaluator on every fetch, so any change to that
+   evaluator, to the history providers or to the repair walk that is not
+   bit-identical shows up here. *)
+let uarch_pins =
+  [
+    ("GShare", "mcf", (75206, 20000, 2315, 2315, 12641));
+    ("GShare", "exchange2", (23363, 20000, 2459, 2459, 12326));
+    ("Tourney", "mcf", (137074, 20000, 2304, 2304, 47259));
+    ("Tourney", "exchange2", (12711, 20000, 184, 184, 3815));
+    ("B2", "mcf", (150982, 20000, 2272, 2272, 53892));
+    ("B2", "exchange2", (15355, 20000, 455, 455, 5804));
+    ("TAGE-L", "mcf", (138290, 20000, 2235, 2235, 46041));
+    ("TAGE-L", "exchange2", (9523, 20000, 136, 136, 3044));
+  ]
+
+let test_uarch_counter_pins () =
+  let counters = Alcotest.(pair int (pair int (pair int (pair int int)))) in
+  List.iter
+    (fun (dname, wname, (cyc, ins, mis, cmis, wp)) ->
+      let design =
+        if dname = "GShare" then Cobra_eval.Designs.gshare_only
+        else Cobra_eval.Designs.find dname
+      in
+      let r =
+        Cobra_eval.Experiment.run ~insns:20_000 design (Cobra_workloads.Suite.find wname)
+      in
+      let p = r.Cobra_eval.Experiment.perf in
+      check counters
+        (Printf.sprintf "%s on %s" dname wname)
+        (cyc, (ins, (mis, (cmis, wp))))
+        ( p.Perf.cycles,
+          ( p.Perf.instructions,
+            (p.Perf.mispredicts, (p.Perf.cond_mispredicts, p.Perf.wrong_path_packets)) ) ))
+    uarch_pins
+
 let () =
   Alcotest.run "cobra_integration"
     [
@@ -295,4 +335,6 @@ let () =
             test_ghist_restored_after_mispredict_storm;
           Alcotest.test_case "custom topology" `Quick test_mixed_custom_topology_end_to_end;
         ] );
+      ( "pins",
+        [ Alcotest.test_case "uarch counters per design and workload" `Quick test_uarch_counter_pins ] );
     ]

@@ -685,6 +685,109 @@ let serve_live_daemon () =
       let pong2 = Serve.request ~socket {|{"op": "ping"}|} in
       check_contains "alive after malformed" (joined pong2) {|"event": "pong"|})
 
+(* Ping until the daemon answers: a replaced socket path exists before the
+   new daemon listens on it. *)
+let ping_until_up socket =
+  let rec go n =
+    match Serve.request ~timeout_s:5.0 ~socket {|{"op": "ping"}|} with
+    | lines -> lines
+    | exception Failure _ when n > 0 ->
+      Thread.delay 0.05;
+      go (n - 1)
+  in
+  go 100
+
+let with_daemon socket f =
+  let cfg = { (Serve.default_config ~socket) with Serve.jobs = 1 } in
+  let server = Thread.create (fun () -> Serve.serve cfg) () in
+  Fun.protect
+    ~finally:(fun () ->
+      (* a daemon nobody can reach any more is left behind, not waited for *)
+      (match Serve.shutdown ~socket () with
+      | () -> Thread.join server
+      | exception _ -> ());
+      try Sys.remove socket with Sys_error _ -> ())
+    (fun () ->
+      check_contains "daemon answers" (joined (ping_until_up socket)) {|"event": "pong"|};
+      f ())
+
+(* A second daemon on a live socket must refuse (naming the path) instead
+   of unlinking it out from under the first. It runs on its own thread so
+   that a regression fails the test instead of hanging it. *)
+let serve_refuses_live_socket () =
+  let socket = temp_socket () in
+  with_daemon socket (fun () ->
+      let outcome = Atomic.make None in
+      let second =
+        Thread.create
+          (fun () ->
+            Atomic.set outcome
+              (Some
+                 (match Serve.serve (Serve.default_config ~socket) with
+                 | () -> "returned"
+                 | exception Failure m -> m)))
+          ()
+      in
+      let rec wait n =
+        match Atomic.get outcome with
+        | Some m -> m
+        | None when n = 0 ->
+          (* it took the socket over: stop it; the first daemon is lost *)
+          (try Serve.shutdown ~socket () with _ -> ());
+          Thread.join second;
+          Alcotest.fail "a second daemon took over a live socket"
+        | None ->
+          Thread.delay 0.05;
+          wait (n - 1)
+      in
+      let m = wait 100 in
+      Thread.join second;
+      check_contains "error names the socket" m socket;
+      let pong = Serve.request ~socket {|{"op": "ping"}|} in
+      check_contains "first daemon still answers" (joined pong) {|"event": "pong"|})
+
+(* A socket file nobody listens on (a crashed daemon's) is replaced. *)
+let serve_replaces_stale_socket () =
+  let socket = temp_socket () in
+  let stale = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind stale (Unix.ADDR_UNIX socket);
+  Unix.close stale;
+  check Alcotest.bool "stale socket file present" true (Sys.file_exists socket);
+  with_daemon socket (fun () -> ())
+
+(* An over-long request line is answered with an error and the connection
+   closed, and the daemon keeps serving new connections. *)
+let serve_bounds_request_line () =
+  let socket = temp_socket () in
+  with_daemon socket (fun () ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      let lines =
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            Unix.connect fd (Unix.ADDR_UNIX socket);
+            Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+            let line = Bytes.make ((2 lsl 20) + 1) 'x' in
+            Bytes.set line (Bytes.length line - 1) '\n';
+            (* the daemon stops reading after 1 MiB and hangs up: the rest of
+               the write fails, the answer is already queued *)
+            (try ignore (Unix.write fd line 0 (Bytes.length line))
+             with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+            let ic = Unix.in_channel_of_descr fd in
+            let rec read acc =
+              match input_line ic with
+              | l -> read (l :: acc)
+              | exception (End_of_file | Sys_error _) -> List.rev acc
+            in
+            read [])
+      in
+      let all = joined lines in
+      check_contains "over-long line is an error" all {|"event": "error"|};
+      check_contains "error says why" all "request longer than";
+      check_contains "terminator sent" all {|"event": "done"|};
+      let pong = Serve.request ~socket {|{"op": "ping"}|} in
+      check_contains "daemon still serves" (joined pong) {|"event": "pong"|})
+
 (* ----------------------------------------------------------------------------- *)
 
 let () =
@@ -755,5 +858,10 @@ let () =
           Alcotest.test_case "probe trace sweeps end to end" `Quick serve_probe_trace_sweep;
           Alcotest.test_case "shutdown handshake" `Quick serve_shutdown;
           Alcotest.test_case "live daemon, concurrent clients" `Quick serve_live_daemon;
+          Alcotest.test_case "second daemon refuses a live socket" `Quick
+            serve_refuses_live_socket;
+          Alcotest.test_case "stale socket file is replaced" `Quick serve_replaces_stale_socket;
+          Alcotest.test_case "over-long request line is refused" `Quick
+            serve_bounds_request_line;
         ] );
     ]

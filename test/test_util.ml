@@ -201,6 +201,16 @@ let prop_bitpack_roundtrip =
       let width = Bitpack.width_of layout in
       Bitpack.unpack (Bitpack.pack ~width fields) layout = List.map fst fields)
 
+(* A zero-width field at the end of a layout that exactly fills its limbs
+   (124 = 2 x 62 bits) used to index one limb past the end. *)
+let test_packer_zero_width_at_limb_end () =
+  let fields = [ (5, 62); (3, 62); (0, 0) ] in
+  let packer = Bitpack.Packer.create ~width:124 in
+  List.iter (fun (v, bits) -> Bitpack.Packer.add packer v ~bits) fields;
+  Alcotest.(check bool)
+    "matches pack" true
+    (Bits.equal (Bitpack.Packer.finish packer) (Bitpack.pack ~width:124 fields))
+
 (* The incremental Packer must produce bit-identical vectors to the
    list-based pack, and the Cursor must read back exactly what unpack does —
    including fields straddling the 62-bit limb boundary (hence widths that
@@ -299,6 +309,8 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_bitpack_roundtrip;
           Alcotest.test_case "overflow" `Quick test_bitpack_overflow;
+          Alcotest.test_case "zero-width field at a full final limb" `Quick
+            test_packer_zero_width_at_limb_end;
           qcheck prop_bitpack_roundtrip;
           qcheck prop_packer_cursor_equivalence;
         ] );
