@@ -13,7 +13,6 @@
    Run with: dune exec examples/custom_component.exe *)
 
 open Cobra
-module Bits = Cobra_util.Bits
 module Bitpack = Cobra_util.Bitpack
 module Counter = Cobra_util.Counter
 module Hashing = Cobra_util.Hashing
@@ -28,28 +27,29 @@ let make_gshare ~name ~index_bits ~history_length ~fetch_width =
     lxor Hashing.folded_history ctx.Context.ghist ~len:history_length ~bits:index_bits
   in
   (* metadata: the counters read at predict time (2 bits per slot), so the
-     update never re-reads the table *)
-  let layout = List.init fetch_width (fun _ -> 2) in
-  let meta_bits = Bitpack.width_of layout in
-  let predict ctx ~pred_in:_ =
-    let counters = Array.init fetch_width (fun slot -> table.(index ctx ~slot)) in
-    let pred =
-      Array.map
-        (fun c -> { Types.empty_opinion with Types.o_taken = Some (Counter.is_taken ~bits:2 c) })
-        counters
-    in
-    let meta =
-      Bitpack.pack ~width:meta_bits (Array.to_list (Array.map (fun c -> (c, 2)) counters))
-    in
-    (pred, meta)
+     update never re-reads the table. A packer and a cursor, made once,
+     write and read it without allocating. *)
+  let meta_bits = 2 * fetch_width in
+  let packer = Bitpack.Packer.create ~width:meta_bits in
+  let cursor = Bitpack.Cursor.create () in
+  (* [out] arrives all-silent and [meta] is the pipeline's buffer: write
+     an opinion per slot and seal the metadata into the buffer *)
+  let predict ctx ~pred_in:_ ~(out : Types.prediction) ~meta =
+    for slot = 0 to fetch_width - 1 do
+      let c = table.(index ctx ~slot) in
+      Bitpack.Packer.add packer c ~bits:2;
+      out.(slot) <- Types.direction_hint ~taken:(Counter.is_taken ~bits:2 c)
+    done;
+    Bitpack.Packer.finish_into packer meta
   in
   let update (ev : Component.event) =
-    List.iteri
-      (fun slot c ->
-        let r = ev.Component.slots.(slot) in
-        if r.Types.r_is_branch && r.Types.r_kind = Types.Cond then
-          table.(index ev.Component.ctx ~slot) <- Counter.update ~bits:2 c ~taken:r.Types.r_taken)
-      (Bitpack.unpack ev.Component.meta layout)
+    Bitpack.Cursor.reset cursor ev.Component.meta;
+    for slot = 0 to fetch_width - 1 do
+      let c = Bitpack.Cursor.take cursor ~bits:2 in
+      let r = ev.Component.slots.(slot) in
+      if Types.cond_branch r then
+        table.(index ev.Component.ctx ~slot) <- Counter.update ~bits:2 c ~taken:r.Types.r_taken
+    done
   in
   Component.make ~name ~family:Component.Counter_table ~latency:2 ~meta_bits
     ~storage:(Storage.make ~sram_bits:(entries * 2) ())

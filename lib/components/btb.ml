@@ -42,8 +42,9 @@ let make cfg =
   let e_kind off = Types.branch_kind_of_int (Slab.unsafe_get state (off + 3)) in
   let set_of pc = Hashing.pc_index ~pc ~bits:set_bits in
   let tag_of pc = Hashing.fold_int (Hashing.mix2 (Hashing.pc_bits pc) 0) ~width:62 ~bits:cfg.tag_bits in
-  (* A ref-based scan: an inner recursive closure would heap-allocate per
-     lookup, and this runs per slot per predict. *)
+  (* The hit way, -1 on a miss. A ref-based scan: an inner recursive
+     closure would heap-allocate per lookup, and this runs per slot per
+     predict. *)
   let lookup pc =
     let s = set_of pc and tag = tag_of pc in
     let hit = ref (-1) in
@@ -53,40 +54,42 @@ let make cfg =
       if e_valid off && e_tag off = tag then hit := !w;
       incr w
     done;
-    if !hit < 0 then None else Some !hit
+    !hit
   in
+  let way_bits = way_bits cfg in
   let meta_bits = Bitpack.width_of (meta_layout cfg) in
   let packer = Bitpack.Packer.create ~width:meta_bits in
   let cursor = Bitpack.Cursor.create () in
-  let predict (ctx : Context.t) ~pred_in:_ =
-    let pred = Array.make cfg.fetch_width Types.empty_opinion in
+  let predict (ctx : Context.t) ~pred_in:_ ~(out : Types.prediction) ~meta =
     let live = Context.live_bound ctx cfg.fetch_width in
     for slot = 0 to cfg.fetch_width - 1 do
       let pc = Context.slot_pc ctx slot in
-      match (if slot < live then lookup pc else None) with
-      | Some w ->
+      let w = if slot < live then lookup pc else -1 in
+      if w >= 0 then begin
         Bitpack.Packer.add packer 1 ~bits:1;
-        Bitpack.Packer.add packer w ~bits:(way_bits cfg);
+        Bitpack.Packer.add packer w ~bits:way_bits;
         let off = entry_off (set_of pc) w in
         let kind = e_kind off in
-        pred.(slot) <-
+        out.(slot) <-
           {
             Types.o_branch = Some true;
             o_kind = Some kind;
             o_taken = (if Types.is_unconditional kind then Some true else None);
             o_target = Some (e_target off);
           }
-      | None ->
+      end
+      else begin
         Bitpack.Packer.add packer 0 ~bits:1;
-        Bitpack.Packer.add packer 0 ~bits:(way_bits cfg)
+        Bitpack.Packer.add packer 0 ~bits:way_bits
+      end
     done;
-    (pred, Bitpack.Packer.finish packer)
+    Bitpack.Packer.finish_into packer meta
   in
   let update (ev : Component.event) =
     Bitpack.Cursor.reset cursor ev.meta;
     for slot = 0 to cfg.fetch_width - 1 do
       let hit = Bitpack.Cursor.take cursor ~bits:1 in
-      let way = Bitpack.Cursor.take cursor ~bits:(way_bits cfg) in
+      let way = Bitpack.Cursor.take cursor ~bits:way_bits in
       let (r : Types.resolved) = ev.slots.(slot) in
       (* Allocate/refresh entries for branches observed taken; a branch the
          BTB has never seen taken cannot redirect fetch and need not

@@ -49,48 +49,45 @@ let make cfg =
       lxor Hashing.fold_int (Hashing.mix2 table 41) ~width:62 ~bits:cfg.table_bits
   in
   let meta_bits = Bitpack.width_of (meta_layout cfg) in
-  let predict (ctx : Context.t) ~pred_in =
-    let base = match pred_in with [ p ] -> p | _ -> invalid_arg (cfg.name ^ ": one predict_in") in
-    let fields = ref [] in
-    let pred =
-      Array.init cfg.fetch_width (fun slot ->
-          let sum = ref 0 in
-          (* ascending table order: update's List.iteri pairs field [t] with
-             bank [t], so the pack order must match *)
-          for t = 0 to ntables - 1 do
-            let c = Slab.get state ((t * bank_size) + index ctx ~slot ~table:t) in
-            sum := !sum + c;
-            fields := (c + bias, cfg.counter_bits + 1) :: !fields
-          done;
-          if Types.unconditional_in base slot then Types.empty_opinion
-          else { Types.empty_opinion with o_taken = Some (!sum >= 0) })
-    in
-    (pred, Bitpack.pack ~width:meta_bits (List.rev !fields))
+  let packer = Bitpack.Packer.create ~width:meta_bits in
+  let cursor = Bitpack.Cursor.create () in
+  let counters = Array.make ntables 0 in
+  let predict (ctx : Context.t) ~pred_in ~(out : Types.prediction) ~meta =
+    let base = match pred_in with [| p |] -> p | _ -> invalid_arg (cfg.name ^ ": one predict_in") in
+    for slot = 0 to cfg.fetch_width - 1 do
+      let sum = ref 0 in
+      (* ascending table order: update pairs field [t] with bank [t] *)
+      for t = 0 to ntables - 1 do
+        let c = Slab.get state ((t * bank_size) + index ctx ~slot ~table:t) in
+        sum := !sum + c;
+        Bitpack.Packer.add packer (c + bias) ~bits:(cfg.counter_bits + 1)
+      done;
+      if not (Types.unconditional_in base slot) then
+        out.(slot) <- Types.direction_hint ~taken:(!sum >= 0)
+    done;
+    Bitpack.Packer.finish_into packer meta
   in
   let update (ev : Component.event) =
-    let fields = Bitpack.unpack ev.meta (meta_layout cfg) in
-    let rec per_slot slot = function
-      | [] -> ()
-      | rest ->
-        let counters = List.filteri (fun i _ -> i < ntables) rest in
-        let rest' = List.filteri (fun i _ -> i >= ntables) rest in
-        let (r : Types.resolved) = ev.slots.(slot) in
-        if Types.cond_branch r then begin
-          let counters = List.map (fun c -> c - bias) counters in
-          let sum = List.fold_left ( + ) 0 counters in
-          let predicted = sum >= 0 in
-          if predicted <> r.r_taken || abs sum <= cfg.threshold then
-            List.iteri
-              (fun t c ->
-                Slab.set state
-                  ((t * bank_size) + index ev.ctx ~slot ~table:t)
-                  (Counter.update_signed ~bits:cfg.counter_bits c
-                     ~dir:(if r.r_taken then 1 else -1)))
-              counters
-        end;
-        per_slot (slot + 1) rest'
-    in
-    per_slot 0 fields
+    Bitpack.Cursor.reset cursor ev.meta;
+    for slot = 0 to cfg.fetch_width - 1 do
+      let sum = ref 0 in
+      for t = 0 to ntables - 1 do
+        let c = Bitpack.Cursor.take cursor ~bits:(cfg.counter_bits + 1) - bias in
+        counters.(t) <- c;
+        sum := !sum + c
+      done;
+      let (r : Types.resolved) = ev.slots.(slot) in
+      if Types.cond_branch r then begin
+        let predicted = !sum >= 0 in
+        if predicted <> r.r_taken || abs !sum <= cfg.threshold then
+          for t = 0 to ntables - 1 do
+            Slab.set state
+              ((t * bank_size) + index ev.ctx ~slot ~table:t)
+              (Counter.update_signed ~bits:cfg.counter_bits counters.(t)
+                 ~dir:(if r.r_taken then 1 else -1))
+          done
+      end
+    done
   in
   Component.make ~name:cfg.name ~family:Component.Perceptron ~latency:cfg.latency ~meta_bits
     ~storage:(Storage.make ~sram_bits:(storage_bits cfg) ())

@@ -31,30 +31,26 @@ let make cfg =
     (pc_part lsl cfg.history_bits) lor hist_part
   in
   let meta_bits = Bitpack.width_of (meta_layout cfg) in
-  let predict ctx ~pred_in =
-    let base = match pred_in with [ p ] -> p | _ -> invalid_arg (cfg.name ^ ": one predict_in") in
-    let counters = Array.init cfg.fetch_width (fun slot -> Slab.get state (index ctx ~slot)) in
-    let pred =
-      Array.mapi
-        (fun slot c ->
-          if Types.unconditional_in base slot then Types.empty_opinion
-          else
-            { Types.empty_opinion with
-              o_taken = Some (Counter.is_taken ~bits:cfg.counter_bits c) })
-        counters
-    in
-    ( pred,
-      Bitpack.pack ~width:meta_bits
-        (Array.to_list (Array.map (fun c -> (c, cfg.counter_bits)) counters)) )
+  let packer = Bitpack.Packer.create ~width:meta_bits in
+  let cursor = Bitpack.Cursor.create () in
+  let predict ctx ~pred_in ~(out : Types.prediction) ~meta =
+    let base = match pred_in with [| p |] -> p | _ -> invalid_arg (cfg.name ^ ": one predict_in") in
+    for slot = 0 to cfg.fetch_width - 1 do
+      let c = Slab.get state (index ctx ~slot) in
+      Bitpack.Packer.add packer c ~bits:cfg.counter_bits;
+      if not (Types.unconditional_in base slot) then
+        out.(slot) <- Types.direction_hint ~taken:(Counter.is_taken ~bits:cfg.counter_bits c)
+    done;
+    Bitpack.Packer.finish_into packer meta
   in
   let update (ev : Component.event) =
-    List.iteri
-      (fun slot c ->
-        let (r : Types.resolved) = ev.slots.(slot) in
-        if Types.cond_branch r then
-          Slab.set state (index ev.ctx ~slot)
-            (Counter.update ~bits:cfg.counter_bits c ~taken:r.r_taken))
-      (Bitpack.unpack ev.meta (meta_layout cfg))
+    Bitpack.Cursor.reset cursor ev.meta;
+    for slot = 0 to cfg.fetch_width - 1 do
+      let c = Bitpack.Cursor.take cursor ~bits:cfg.counter_bits in
+      let (r : Types.resolved) = ev.slots.(slot) in
+      if Types.cond_branch r then
+        Slab.set state (index ev.ctx ~slot) (Counter.update ~bits:cfg.counter_bits c ~taken:r.r_taken)
+    done
   in
   Component.make ~name:cfg.name ~family:Component.Counter_table ~latency:cfg.latency
     ~meta_bits

@@ -39,13 +39,13 @@ let make cfg =
   let e_valid i = Slab.unsafe_get state (3 * i) = 1 in
   let e_tag i = Slab.unsafe_get state ((3 * i) + 1) in
   let e_ctr i = Slab.unsafe_get state ((3 * i) + 2) in
+  let index_mask = (1 lsl index_bits) - 1 in
   let index (ctx : Context.t) ~slot =
+    (* [Hashing.combine] of the two parts, without its argument list *)
     let pc = Context.slot_pc ctx slot in
-    Hashing.combine ~bits:index_bits
-      [
-        Hashing.pc_index ~pc ~bits:index_bits;
-        Hashing.folded_history ctx.ghist ~len:cfg.history_length ~bits:index_bits;
-      ]
+    Hashing.pc_index ~pc ~bits:index_bits land index_mask
+    lxor (Hashing.folded_history ctx.ghist ~len:cfg.history_length ~bits:index_bits
+         land index_mask)
   in
   let tag (ctx : Context.t) ~slot =
     let pc = Context.slot_pc ctx slot in
@@ -55,58 +55,53 @@ let make cfg =
       ~width:62 ~bits:cfg.tag_bits
   in
   let meta_bits = Bitpack.width_of (meta_layout cfg) in
-  let predict (ctx : Context.t) ~pred_in =
-    let base = match pred_in with [ p ] -> p | _ -> invalid_arg (cfg.name ^ ": one predict_in") in
-    let fields = ref [] in
+  let packer = Bitpack.Packer.create ~width:meta_bits in
+  let cursor = Bitpack.Cursor.create () in
+  let predict (ctx : Context.t) ~pred_in ~(out : Types.prediction) ~meta =
+    let base = match pred_in with [| p |] -> p | _ -> invalid_arg (cfg.name ^ ": one predict_in") in
     let live = Context.live_bound ctx cfg.fetch_width in
-    let pred =
-      Array.init cfg.fetch_width (fun slot ->
-          if slot >= live then begin
-            (* dead slot: keep the declared meta layout *)
-            fields := (0, cfg.counter_bits) :: (0, 1) :: !fields;
-            Types.empty_opinion
-          end
-          else begin
-            let i = index ctx ~slot in
-            if (not (Types.unconditional_in base slot)) && e_valid i && e_tag i = tag ctx ~slot
-            then begin
-              fields := (e_ctr i, cfg.counter_bits) :: (1, 1) :: !fields;
-              { Types.empty_opinion with
-                o_taken = Some (Counter.is_taken ~bits:cfg.counter_bits (e_ctr i)) }
-            end
-            else begin
-              fields := (0, cfg.counter_bits) :: (0, 1) :: !fields;
-              Types.empty_opinion
-            end
-          end)
-    in
-    (pred, Bitpack.pack ~width:meta_bits (List.rev !fields))
+    for slot = 0 to cfg.fetch_width - 1 do
+      let i = if slot < live then index ctx ~slot else 0 in
+      if
+        slot < live
+        && (not (Types.unconditional_in base slot))
+        && e_valid i
+        && e_tag i = tag ctx ~slot
+      then begin
+        Bitpack.Packer.add packer 1 ~bits:1;
+        Bitpack.Packer.add packer (e_ctr i) ~bits:cfg.counter_bits;
+        out.(slot) <- Types.direction_hint ~taken:(Counter.is_taken ~bits:cfg.counter_bits (e_ctr i))
+      end
+      else begin
+        (* a miss, or a dead slot keeping the declared meta layout *)
+        Bitpack.Packer.add packer 0 ~bits:1;
+        Bitpack.Packer.add packer 0 ~bits:cfg.counter_bits
+      end
+    done;
+    Bitpack.Packer.finish_into packer meta
   in
   let update (ev : Component.event) =
-    let fields = Bitpack.unpack ev.meta (meta_layout cfg) in
-    let rec per_slot slot = function
-      | hit :: ctr :: rest ->
-        let (r : Types.resolved) = ev.slots.(slot) in
-        if Types.cond_branch r then begin
-          let i = index ev.ctx ~slot in
-          if hit = 1 then
-            Slab.unsafe_set state ((3 * i) + 2)
-              (Counter.update ~bits:cfg.counter_bits ctr ~taken:r.r_taken)
-          else begin
-            (* Allocate on miss, seeding the counter weakly in the observed
-               direction. *)
-            Slab.unsafe_set state (3 * i) 1;
-            Slab.unsafe_set state ((3 * i) + 1) (tag ev.ctx ~slot);
-            Slab.unsafe_set state ((3 * i) + 2)
-              (if r.r_taken then Counter.weakly_taken ~bits:cfg.counter_bits
-               else Counter.weakly_not_taken ~bits:cfg.counter_bits)
-          end
-        end;
-        per_slot (slot + 1) rest
-      | [] -> ()
-      | _ -> assert false
-    in
-    per_slot 0 fields
+    Bitpack.Cursor.reset cursor ev.meta;
+    for slot = 0 to cfg.fetch_width - 1 do
+      let hit = Bitpack.Cursor.take cursor ~bits:1 in
+      let ctr = Bitpack.Cursor.take cursor ~bits:cfg.counter_bits in
+      let (r : Types.resolved) = ev.slots.(slot) in
+      if Types.cond_branch r then begin
+        let i = index ev.ctx ~slot in
+        if hit = 1 then
+          Slab.unsafe_set state ((3 * i) + 2)
+            (Counter.update ~bits:cfg.counter_bits ctr ~taken:r.r_taken)
+        else begin
+          (* Allocate on miss, seeding the counter weakly in the observed
+             direction. *)
+          Slab.unsafe_set state (3 * i) 1;
+          Slab.unsafe_set state ((3 * i) + 1) (tag ev.ctx ~slot);
+          Slab.unsafe_set state ((3 * i) + 2)
+            (if r.r_taken then Counter.weakly_taken ~bits:cfg.counter_bits
+             else Counter.weakly_not_taken ~bits:cfg.counter_bits)
+        end
+      end
+    done
   in
   let entry_bits = 1 + cfg.tag_bits + cfg.counter_bits in
   let storage =

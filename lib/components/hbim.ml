@@ -30,9 +30,8 @@ let make_inspectable cfg =
   let meta_bits = Bitpack.width_of (meta_layout cfg) in
   let packer = Bitpack.Packer.create ~width:meta_bits in
   let cursor = Bitpack.Cursor.create () in
-  let predict ctx ~pred_in =
-    let base = match pred_in with [ p ] -> p | _ -> invalid_arg (cfg.name ^ ": one predict_in") in
-    let pred = Array.make cfg.fetch_width Types.empty_opinion in
+  let predict ctx ~pred_in ~(out : Types.prediction) ~meta =
+    let base = match pred_in with [| p |] -> p | _ -> invalid_arg (cfg.name ^ ": one predict_in") in
     let live = Context.live_bound ctx cfg.fetch_width in
     for slot = 0 to cfg.fetch_width - 1 do
       if slot < live then begin
@@ -40,14 +39,14 @@ let make_inspectable cfg =
         Bitpack.Packer.add packer c ~bits:cfg.counter_bits;
         (* never override a known always-taken direction (jump/call/ret) *)
         if not (Types.unconditional_in base slot) then
-          pred.(slot) <-
+          out.(slot) <-
             Types.direction_hint ~taken:(Counter.is_taken ~bits:cfg.counter_bits c)
       end
       else
         (* dead slot: keep the declared meta layout *)
         Bitpack.Packer.add packer 0 ~bits:cfg.counter_bits
     done;
-    (pred, Bitpack.Packer.finish packer)
+    Bitpack.Packer.finish_into packer meta
   in
   let update (ev : Component.event) =
     Bitpack.Cursor.reset cursor ev.meta;

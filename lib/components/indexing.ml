@@ -8,7 +8,14 @@ let rec index src (ctx : Cobra.Context.t) ~slot ~bits =
   | Ghist n -> Cobra.Context.folded_ghist ctx ~len:n ~bits
   | Lhist n -> Hashing.folded_history ctx.lhists.(slot) ~len:n ~bits
   | Phist n -> Cobra.Context.folded_phist ctx ~len:n ~bits
-  | Hash srcs -> Hashing.combine ~bits (List.map (fun s -> index s ctx ~slot ~bits) srcs)
+  | Hash srcs -> combine srcs ctx ~slot ~bits ((1 lsl bits) - 1) 0
+
+(* [Hashing.combine] of the sources' indexes, folded as they are computed
+   rather than mapped into a list first. *)
+and combine srcs ctx ~slot ~bits mask acc =
+  match srcs with
+  | [] -> acc
+  | s :: rest -> combine rest ctx ~slot ~bits mask (acc lxor (index s ctx ~slot ~bits land mask))
 
 let rec describe = function
   | Pc -> "pc"

@@ -71,82 +71,90 @@ let make cfg =
          + (table * 131)))
       ~width:62 ~bits:s.tag_bits
   in
+  (* Entry offset on a tag hit, -1 on a miss. *)
   let lookup ctx ~slot ~table =
     let off = entry_off ~table (index ctx ~slot ~table) in
-    if e_valid off && e_tag off = tag_hash ctx ~slot ~table then Some off else None
+    if e_valid off && e_tag off = tag_hash ctx ~slot ~table then off else -1
   in
+  (* Longest-history hit: its table in [provider] and offset in
+     [provider_off], [provider] = -1 when nothing hit. *)
+  let provider = ref (-1) and provider_off = ref 0 in
   let find_provider ctx ~slot =
-    let rec scan t =
-      if t < 0 then None
-      else match lookup ctx ~slot ~table:t with Some off -> Some (t, off) | None -> scan (t - 1)
-    in
-    scan (ntables - 1)
+    provider := -1;
+    let t = ref (ntables - 1) in
+    while !provider < 0 && !t >= 0 do
+      let off = lookup ctx ~slot ~table:!t in
+      if off >= 0 then begin
+        provider := !t;
+        provider_off := off
+      end;
+      decr t
+    done
   in
   let meta_bits = Bitpack.width_of (meta_layout cfg) in
-  let predict (ctx : Context.t) ~pred_in:_ =
-    let fields = ref [] in
-    let pred =
-      Array.init cfg.fetch_width (fun slot ->
-          match find_provider ctx ~slot with
-          | Some (t, off) ->
-            fields := (t, 3) :: (1, 1) :: !fields;
-            {
-              Types.o_branch = Some true;
-              o_kind = Some Types.Ind;
-              o_taken = Some true;
-              o_target = Some (e_target off);
-            }
-          | None ->
-            fields := (0, 3) :: (0, 1) :: !fields;
-            Types.empty_opinion)
-    in
-    (pred, Bitpack.pack ~width:meta_bits (List.rev !fields))
+  let packer = Bitpack.Packer.create ~width:meta_bits in
+  let cursor = Bitpack.Cursor.create () in
+  let predict (ctx : Context.t) ~pred_in:_ ~(out : Types.prediction) ~meta =
+    for slot = 0 to cfg.fetch_width - 1 do
+      find_provider ctx ~slot;
+      if !provider >= 0 then begin
+        Bitpack.Packer.add packer 1 ~bits:1;
+        Bitpack.Packer.add packer !provider ~bits:3;
+        out.(slot) <-
+          {
+            Types.o_branch = Some true;
+            o_kind = Some Types.Ind;
+            o_taken = Some true;
+            o_target = Some (e_target !provider_off);
+          }
+      end
+      else begin
+        Bitpack.Packer.add packer 0 ~bits:1;
+        Bitpack.Packer.add packer 0 ~bits:3
+      end
+    done;
+    Bitpack.Packer.finish_into packer meta
   in
   let update (ev : Component.event) =
-    let fields = Bitpack.unpack ev.meta (meta_layout cfg) in
-    let rec per_slot slot = function
-      | hit :: provider :: rest ->
-        let (r : Types.resolved) = ev.slots.(slot) in
-        if r.r_is_branch && r.r_kind = Types.Ind && r.r_taken then begin
-          let correct = ref false in
-          if hit = 1 then begin
-            match lookup ev.ctx ~slot ~table:provider with
-            | Some off ->
-              if e_target off = r.r_target then begin
-                Slab.unsafe_set state (off + 3)
-                  (Counter.increment ~bits:cfg.confidence_bits (e_conf off));
-                correct := true
-              end
-              else if e_conf off > 0 then Slab.unsafe_set state (off + 3) (e_conf off - 1)
-              else Slab.unsafe_set state (off + 2) r.r_target
-            | None -> ()
-          end;
-          (* allocate in a longer-history table when wrong or missing *)
-          if not !correct then begin
-            let above = if hit = 1 then provider + 1 else 0 in
-            let rec alloc t =
-              if t < ntables then begin
-                let off = entry_off ~table:t (index ev.ctx ~slot ~table:t) in
-                if (not (e_valid off)) || e_conf off = 0 then begin
-                  Slab.unsafe_set state off 1;
-                  Slab.unsafe_set state (off + 1) (tag_hash ev.ctx ~slot ~table:t);
-                  Slab.unsafe_set state (off + 2) r.r_target;
-                  Slab.unsafe_set state (off + 3) 0
-                end
-                else begin
-                  Slab.unsafe_set state (off + 3) (e_conf off - 1);
-                  alloc (t + 1)
-                end
-              end
-            in
-            alloc above
-          end
+    Bitpack.Cursor.reset cursor ev.meta;
+    for slot = 0 to cfg.fetch_width - 1 do
+      let hit = Bitpack.Cursor.take cursor ~bits:1 in
+      let provider = Bitpack.Cursor.take cursor ~bits:3 in
+      let (r : Types.resolved) = ev.slots.(slot) in
+      if r.r_is_branch && (match r.r_kind with Types.Ind -> true | _ -> false) && r.r_taken
+      then begin
+        let correct = ref false in
+        if hit = 1 then begin
+          let off = lookup ev.ctx ~slot ~table:provider in
+          if off >= 0 then
+            if e_target off = r.r_target then begin
+              Slab.unsafe_set state (off + 3)
+                (Counter.increment ~bits:cfg.confidence_bits (e_conf off));
+              correct := true
+            end
+            else if e_conf off > 0 then Slab.unsafe_set state (off + 3) (e_conf off - 1)
+            else Slab.unsafe_set state (off + 2) r.r_target
         end;
-        per_slot (slot + 1) rest
-      | [] -> ()
-      | _ -> assert false
-    in
-    per_slot 0 fields
+        (* allocate in a longer-history table when wrong or missing *)
+        if not !correct then begin
+          let t = ref (if hit = 1 then provider + 1 else 0) in
+          while !t < ntables do
+            let off = entry_off ~table:!t (index ev.ctx ~slot ~table:!t) in
+            if (not (e_valid off)) || e_conf off = 0 then begin
+              Slab.unsafe_set state off 1;
+              Slab.unsafe_set state (off + 1) (tag_hash ev.ctx ~slot ~table:!t);
+              Slab.unsafe_set state (off + 2) r.r_target;
+              Slab.unsafe_set state (off + 3) 0;
+              t := ntables
+            end
+            else begin
+              Slab.unsafe_set state (off + 3) (e_conf off - 1);
+              incr t
+            end
+          done
+        end
+      end
+    done
   in
   let storage_bits =
     List.fold_left

@@ -53,38 +53,42 @@ let make cfg =
   let set_c_count off v = Slab.unsafe_set state (off + 3) v in
   let set_conf off v = Slab.unsafe_set state (off + 4) v in
   let set_dir off b = Slab.unsafe_set state (off + 5) (if b then 1 else 0) in
+  (* Entry offset on a tag hit, -1 on a miss. *)
   let lookup pc =
     let off = 6 * index pc in
-    if e_valid off && e_tag off = tag_of pc then Some off else None
+    if e_valid off && e_tag off = tag_of pc then off else -1
   in
   let count_max = (1 lsl cfg.count_bits) - 1 in
   let conf_max = (1 lsl cfg.conf_bits) - 1 in
   let meta_bits = Bitpack.width_of (meta_layout cfg) in
   let packer = Bitpack.Packer.create ~width:meta_bits in
   let cursor = Bitpack.Cursor.create () in
-  let predict (ctx : Context.t) ~pred_in:_ =
-    let pred = Types.no_prediction ~width:cfg.fetch_width in
+  let predict (ctx : Context.t) ~pred_in:_ ~(out : Types.prediction) ~meta =
     let live = Context.live_bound ctx cfg.fetch_width in
     for slot = 0 to cfg.fetch_width - 1 do
-      let hit, c, pv, pd =
-        match (if slot < live then lookup (Context.slot_pc ctx slot) else None) with
-        | Some off ->
-          if e_conf off >= cfg.conf_threshold && e_p_count off > 0 then begin
-            let taken =
-              if e_c_count off >= e_p_count off then not (e_dir off) else e_dir off
-            in
-            pred.(slot) <- Types.direction_hint ~taken;
-            (1, e_c_count off, 1, if taken then 1 else 0)
-          end
-          else (1, e_c_count off, 0, 0)
-        | None -> (0, 0, 0, 0)
-      in
-      Bitpack.Packer.add packer hit ~bits:1;
-      Bitpack.Packer.add packer c ~bits:cfg.count_bits;
-      Bitpack.Packer.add packer pv ~bits:1;
-      Bitpack.Packer.add packer pd ~bits:1
+      let off = if slot < live then lookup (Context.slot_pc ctx slot) else -1 in
+      if off < 0 then begin
+        Bitpack.Packer.add packer 0 ~bits:1;
+        Bitpack.Packer.add packer 0 ~bits:cfg.count_bits;
+        Bitpack.Packer.add packer 0 ~bits:1;
+        Bitpack.Packer.add packer 0 ~bits:1
+      end
+      else begin
+        Bitpack.Packer.add packer 1 ~bits:1;
+        Bitpack.Packer.add packer (e_c_count off) ~bits:cfg.count_bits;
+        if e_conf off >= cfg.conf_threshold && e_p_count off > 0 then begin
+          let taken = if e_c_count off >= e_p_count off then not (e_dir off) else e_dir off in
+          out.(slot) <- Types.direction_hint ~taken;
+          Bitpack.Packer.add packer 1 ~bits:1;
+          Bitpack.Packer.add packer (if taken then 1 else 0) ~bits:1
+        end
+        else begin
+          Bitpack.Packer.add packer 0 ~bits:1;
+          Bitpack.Packer.add packer 0 ~bits:1
+        end
+      end
     done;
-    (pred, Bitpack.Packer.finish packer)
+    Bitpack.Packer.finish_into packer meta
   in
   (* Scratch decode of the per-slot metadata, refilled at the top of each
      event; the handlers need random access, so cursor reads land in these
@@ -104,19 +108,23 @@ let make cfg =
   let fire (ev : Component.event) =
     decode_meta ev;
     for slot = 0 to cfg.fetch_width - 1 do
-      if m_hit.(slot) then
-        match entry_for ev slot with
-        | Some off ->
+      if m_hit.(slot) then begin
+        let off = entry_for ev slot in
+        if off >= 0 then begin
           let (r : Types.resolved) = ev.slots.(slot) in
           if Types.cond_branch r then
-            if r.r_taken = e_dir off then set_c_count off (min count_max (e_c_count off + 1))
+            if r.r_taken = e_dir off then
+              set_c_count off (Int.min count_max (e_c_count off + 1))
             else set_c_count off 0
-        | None -> ()
+        end
+      end
     done
   in
   let restore_slot ev slot =
-    if m_hit.(slot) then
-      match entry_for ev slot with Some off -> set_c_count off m_count.(slot) | None -> ()
+    if m_hit.(slot) then begin
+      let off = entry_for ev slot in
+      if off >= 0 then set_c_count off m_count.(slot)
+    end
   in
   let repair (ev : Component.event) =
     decode_meta ev;
@@ -136,11 +144,12 @@ let make cfg =
       done;
       let (r : Types.resolved) = ev.slots.(culprit) in
       if Types.cond_branch r then begin
-        match (m_hit.(culprit), entry_for ev culprit) with
-        | true, Some off ->
-          if r.r_taken = e_dir off then set_c_count off (min count_max (m_count.(culprit) + 1))
+        let off = if m_hit.(culprit) then entry_for ev culprit else -1 in
+        if off >= 0 then
+          if r.r_taken = e_dir off then
+            set_c_count off (Int.min count_max (m_count.(culprit) + 1))
           else set_c_count off 0
-        | _ ->
+        else begin
           (* An untracked mispredicting conditional branch: start tracking,
              assuming the misprediction was a loop exit. *)
           let pc = Context.slot_pc ev.ctx culprit in
@@ -151,38 +160,38 @@ let make cfg =
           set_c_count off 0;
           set_conf off 0;
           set_dir off (not r.r_taken)
+        end
       end
   in
   let update (ev : Component.event) =
     decode_meta ev;
     for slot = 0 to cfg.fetch_width - 1 do
-      if m_hit.(slot) then
-        match entry_for ev slot with
-        | Some off ->
-          let (r : Types.resolved) = ev.slots.(slot) in
-          let c = m_count.(slot) in
-          if Types.cond_branch r then
-            if r.r_taken <> e_dir off then begin
-              (* Committed loop exit after [c] body iterations. *)
-              if c = 0 then begin
-                (* Two consecutive exits: the learned body direction is
-                   the branch's minority direction — flip it. *)
-                set_dir off (not (e_dir off));
-                set_p_count off 0;
-                set_conf off 0
-              end
-              else if c < count_max then begin
-                if e_p_count off = c then set_conf off (min conf_max (e_conf off + 1))
-                else begin
-                  set_p_count off c;
-                  set_conf off (if e_conf off >= cfg.conf_threshold then 0 else 1)
-                end
+      let off = if m_hit.(slot) then entry_for ev slot else -1 in
+      if off >= 0 then begin
+        let (r : Types.resolved) = ev.slots.(slot) in
+        let c = m_count.(slot) in
+        if Types.cond_branch r then
+          if r.r_taken <> e_dir off then begin
+            (* Committed loop exit after [c] body iterations. *)
+            if c = 0 then begin
+              (* Two consecutive exits: the learned body direction is
+                 the branch's minority direction — flip it. *)
+              set_dir off (not (e_dir off));
+              set_p_count off 0;
+              set_conf off 0
+            end
+            else if c < count_max then begin
+              if e_p_count off = c then set_conf off (Int.min conf_max (e_conf off + 1))
+              else begin
+                set_p_count off c;
+                set_conf off (if e_conf off >= cfg.conf_threshold then 0 else 1)
               end
             end
-            else if e_p_count off > 0 && c >= e_p_count off then
-              (* Ran past the learned trip count without exiting. *)
-              set_conf off (max 0 (e_conf off - 1))
-        | None -> ()
+          end
+          else if e_p_count off > 0 && c >= e_p_count off then
+            (* Ran past the learned trip count without exiting. *)
+            set_conf off (Int.max 0 (e_conf off - 1))
+      end
     done
   in
   let entry_bits = 1 + cfg.tag_bits + (2 * cfg.count_bits) + cfg.conf_bits + 1 in

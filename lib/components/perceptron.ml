@@ -42,48 +42,43 @@ let make cfg =
   in
   let threshold = (2 * cfg.history_length) + 14 (* Jimenez's 1.93h + 14 ~ 2h + 14 *) in
   let meta_bits = Bitpack.width_of (meta_layout cfg) in
-  let clamp_sum s = min ((1 lsl sum_bits) - 1) (abs s) in
-  let predict (ctx : Context.t) ~pred_in =
-    let base = match pred_in with [ p ] -> p | _ -> invalid_arg (cfg.name ^ ": one predict_in") in
-    let pred =
-      Array.init cfg.fetch_width (fun _ -> Types.empty_opinion)
-    in
-    let fields = ref [] in
-    Array.iteri
-      (fun slot _ ->
-        let sum = dot ctx (index ctx ~slot) in
-        fields := ((if sum >= 0 then 1 else 0), 1) :: (clamp_sum sum, sum_bits) :: !fields;
-        if not (Types.unconditional_in base slot) then
-          pred.(slot) <- { Types.empty_opinion with o_taken = Some (sum >= 0) })
-      pred;
-    (pred, Bitpack.pack ~width:meta_bits (List.rev !fields))
+  let packer = Bitpack.Packer.create ~width:meta_bits in
+  let cursor = Bitpack.Cursor.create () in
+  let clamp_sum s = Int.min ((1 lsl sum_bits) - 1) (abs s) in
+  let predict (ctx : Context.t) ~pred_in ~(out : Types.prediction) ~meta =
+    let base = match pred_in with [| p |] -> p | _ -> invalid_arg (cfg.name ^ ": one predict_in") in
+    for slot = 0 to cfg.fetch_width - 1 do
+      let sum = dot ctx (index ctx ~slot) in
+      Bitpack.Packer.add packer (clamp_sum sum) ~bits:sum_bits;
+      Bitpack.Packer.add packer (if sum >= 0 then 1 else 0) ~bits:1;
+      if not (Types.unconditional_in base slot) then
+        out.(slot) <- Types.direction_hint ~taken:(sum >= 0)
+    done;
+    Bitpack.Packer.finish_into packer meta
   in
   let update (ev : Component.event) =
-    let fields = Bitpack.unpack ev.meta (meta_layout cfg) in
-    let rec per_slot slot = function
-      | mag :: sign :: rest ->
-        let (r : Types.resolved) = ev.slots.(slot) in
-        if Types.cond_branch r then begin
-          let predicted = sign = 1 in
-          if predicted <> r.r_taken || mag <= threshold then begin
-            let base = index ev.ctx ~slot * n_weights in
-            let dir = if r.r_taken then 1 else -1 in
-            Slab.unsafe_set state base
-              (Counter.update_signed ~bits:cfg.weight_bits (Slab.unsafe_get state base) ~dir);
-            for i = 0 to cfg.history_length - 1 do
-              let agree = Bits.get ev.ctx.ghist i = r.r_taken in
-              Slab.unsafe_set state (base + i + 1)
-                (Counter.update_signed ~bits:cfg.weight_bits
-                   (Slab.unsafe_get state (base + i + 1))
-                   ~dir:(if agree then 1 else -1))
-            done
-          end
-        end;
-        per_slot (slot + 1) rest
-      | [] -> ()
-      | _ -> assert false
-    in
-    per_slot 0 fields
+    Bitpack.Cursor.reset cursor ev.meta;
+    for slot = 0 to cfg.fetch_width - 1 do
+      let mag = Bitpack.Cursor.take cursor ~bits:sum_bits in
+      let sign = Bitpack.Cursor.take cursor ~bits:1 in
+      let (r : Types.resolved) = ev.slots.(slot) in
+      if Types.cond_branch r then begin
+        let predicted = sign = 1 in
+        if predicted <> r.r_taken || mag <= threshold then begin
+          let base = index ev.ctx ~slot * n_weights in
+          let dir = if r.r_taken then 1 else -1 in
+          Slab.unsafe_set state base
+            (Counter.update_signed ~bits:cfg.weight_bits (Slab.unsafe_get state base) ~dir);
+          for i = 0 to cfg.history_length - 1 do
+            let agree = Bits.get ev.ctx.ghist i = r.r_taken in
+            Slab.unsafe_set state (base + i + 1)
+              (Counter.update_signed ~bits:cfg.weight_bits
+                 (Slab.unsafe_get state (base + i + 1))
+                 ~dir:(if agree then 1 else -1))
+          done
+        end
+      end
+    done
   in
   Component.make ~name:cfg.name ~family:Component.Perceptron ~latency:cfg.latency ~meta_bits
     ~storage:

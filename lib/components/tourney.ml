@@ -42,16 +42,12 @@ let make cfg =
   let meta_bits = Bitpack.width_of (meta_layout cfg) in
   let packer = Bitpack.Packer.create ~width:meta_bits in
   let cursor = Bitpack.Cursor.create () in
-  let predict (ctx : Context.t) ~pred_in =
-    let p0, p1 =
-      match pred_in with
-      | [ a; b ] -> (a, b)
-      | l ->
-        invalid_arg
-          (Printf.sprintf "%s: tournament selector needs exactly 2 predict_in, got %d" cfg.name
-             (List.length l))
-    in
-    let pred = Array.make cfg.fetch_width Types.empty_opinion in
+  let predict (ctx : Context.t) ~pred_in ~(out : Types.prediction) ~meta =
+    if Array.length pred_in <> 2 then
+      invalid_arg
+        (Printf.sprintf "%s: tournament selector needs exactly 2 predict_in, got %d" cfg.name
+           (Array.length pred_in));
+    let p0 = pred_in.(0) and p1 = pred_in.(1) in
     let live = Context.live_bound ctx cfg.fetch_width in
     for slot = 0 to cfg.fetch_width - 1 do
       if slot >= live then begin
@@ -79,11 +75,11 @@ let make cfg =
         in
         match chosen with
         | Some taken when not (Types.unconditional_in p0 slot) ->
-          pred.(slot) <- Types.direction_hint ~taken
+          out.(slot) <- Types.direction_hint ~taken
         | Some _ | None -> ()
       end
     done;
-    (pred, Bitpack.Packer.finish packer)
+    Bitpack.Packer.finish_into packer meta
   in
   let update (ev : Component.event) =
     Bitpack.Cursor.reset cursor ev.meta;

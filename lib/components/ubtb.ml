@@ -48,7 +48,7 @@ let make cfg =
       if Slab.unsafe_get state (cam_base + (2 * !k)) = tag then found := !k;
       incr k
     done;
-    if !found < 0 then None else Some (Slab.unsafe_get state (cam_base + (2 * !found) + 1))
+    if !found < 0 then -1 else Slab.unsafe_get state (cam_base + (2 * !found) + 1)
   in
   let cam_remove tag =
     let n = Slab.get state cam_count_cell in
@@ -84,52 +84,54 @@ let make cfg =
       Slab.set state cam_count_cell (n + 1)
     end
   in
+  (* The matching entry, -1 on a miss. *)
   let lookup pc =
-    match cam_find (tag_of pc) with
-    | Some i when e_valid i && e_pc_tag i = tag_of pc -> Some i
-    | Some _ | None -> None
+    let i = cam_find (tag_of pc) in
+    if i >= 0 && e_valid i && e_pc_tag i = tag_of pc then i else -1
   in
   let install i tag =
     (if e_valid i then cam_remove (e_pc_tag i));
     cam_replace tag i
   in
+  let way_bits = way_bits cfg in
   let meta_bits = Bitpack.width_of (meta_layout cfg) in
   let packer = Bitpack.Packer.create ~width:meta_bits in
   let cursor = Bitpack.Cursor.create () in
-  let predict (ctx : Context.t) ~pred_in:_ =
-    let pred = Array.make cfg.fetch_width Types.empty_opinion in
+  let predict (ctx : Context.t) ~pred_in:_ ~(out : Types.prediction) ~meta =
     let live = Context.live_bound ctx cfg.fetch_width in
     for slot = 0 to cfg.fetch_width - 1 do
       let pc = Context.slot_pc ctx slot in
-      match (if slot < live then lookup pc else None) with
-      | Some i ->
+      let i = if slot < live then lookup pc else -1 in
+      if i >= 0 then begin
         Bitpack.Packer.add packer 1 ~bits:1;
-        Bitpack.Packer.add packer i ~bits:(way_bits cfg);
+        Bitpack.Packer.add packer i ~bits:way_bits;
         Bitpack.Packer.add packer (e_ctr i) ~bits:cfg.counter_bits;
         let kind = e_kind i in
         let taken =
           if Types.is_unconditional kind then true
           else Counter.is_taken ~bits:cfg.counter_bits (e_ctr i)
         in
-        pred.(slot) <-
+        out.(slot) <-
           {
             Types.o_branch = Some true;
             o_kind = Some kind;
             o_taken = Some taken;
             o_target = Some (e_target i);
           }
-      | None ->
+      end
+      else begin
         Bitpack.Packer.add packer 0 ~bits:1;
-        Bitpack.Packer.add packer 0 ~bits:(way_bits cfg);
+        Bitpack.Packer.add packer 0 ~bits:way_bits;
         Bitpack.Packer.add packer 0 ~bits:cfg.counter_bits
+      end
     done;
-    (pred, Bitpack.Packer.finish packer)
+    Bitpack.Packer.finish_into packer meta
   in
   let update (ev : Component.event) =
     Bitpack.Cursor.reset cursor ev.meta;
     for slot = 0 to cfg.fetch_width - 1 do
       let hit = Bitpack.Cursor.take cursor ~bits:1 in
-      let way = Bitpack.Cursor.take cursor ~bits:(way_bits cfg) in
+      let way = Bitpack.Cursor.take cursor ~bits:way_bits in
       let ctr = Bitpack.Cursor.take cursor ~bits:cfg.counter_bits in
       let (r : Types.resolved) = ev.slots.(slot) in
       if r.r_is_branch then begin

@@ -59,61 +59,59 @@ let make cfg =
       ~width:62 ~bits:cfg.tag_bits
   in
   let meta_bits = Bitpack.width_of (meta_layout cfg) in
-  let predict (ctx : Context.t) ~pred_in =
-    let base = match pred_in with [ p ] -> p | _ -> invalid_arg (cfg.name ^ ": one predict_in") in
-    let fields = ref [] in
-    let pred =
-      Array.init cfg.fetch_width (fun slot ->
-          let ch = Slab.unsafe_get state (choice_index ctx ~slot) in
-          let bias_taken = Counter.is_taken ~bits:cfg.counter_bits ch in
-          (* consult the cache holding exceptions to the bias *)
-          let base_off = if bias_taken then nt_base else t_base in
-          let off = base_off + (3 * cache_index ctx ~slot) in
-          let hit = ce_valid off && ce_tag off = cache_tag ctx ~slot in
-          let taken =
-            if hit then Counter.is_taken ~bits:cfg.counter_bits (ce_ctr off) else bias_taken
-          in
-          fields :=
-            ((if hit then ce_ctr off else 0), cfg.counter_bits) :: ((if hit then 1 else 0), 1)
-            :: (ch, cfg.counter_bits) :: !fields;
-          if Types.unconditional_in base slot then Types.empty_opinion
-          else { Types.empty_opinion with o_taken = Some taken })
-    in
-    (pred, Bitpack.pack ~width:meta_bits (List.rev !fields))
+  let packer = Bitpack.Packer.create ~width:meta_bits in
+  let cursor = Bitpack.Cursor.create () in
+  let predict (ctx : Context.t) ~pred_in ~(out : Types.prediction) ~meta =
+    let base = match pred_in with [| p |] -> p | _ -> invalid_arg (cfg.name ^ ": one predict_in") in
+    for slot = 0 to cfg.fetch_width - 1 do
+      let ch = Slab.unsafe_get state (choice_index ctx ~slot) in
+      let bias_taken = Counter.is_taken ~bits:cfg.counter_bits ch in
+      (* consult the cache holding exceptions to the bias *)
+      let base_off = if bias_taken then nt_base else t_base in
+      let off = base_off + (3 * cache_index ctx ~slot) in
+      let hit = ce_valid off && ce_tag off = cache_tag ctx ~slot in
+      let taken =
+        if hit then Counter.is_taken ~bits:cfg.counter_bits (ce_ctr off) else bias_taken
+      in
+      Bitpack.Packer.add packer ch ~bits:cfg.counter_bits;
+      Bitpack.Packer.add packer (if hit then 1 else 0) ~bits:1;
+      Bitpack.Packer.add packer (if hit then ce_ctr off else 0) ~bits:cfg.counter_bits;
+      if not (Types.unconditional_in base slot) then
+        out.(slot) <- Types.direction_hint ~taken
+    done;
+    Bitpack.Packer.finish_into packer meta
   in
   let update (ev : Component.event) =
-    let fields = Bitpack.unpack ev.meta (meta_layout cfg) in
-    let rec per_slot slot = function
-      | ch :: hit :: cached :: rest ->
-        let (r : Types.resolved) = ev.slots.(slot) in
-        if Types.cond_branch r then begin
-          let bias_taken = Counter.is_taken ~bits:cfg.counter_bits ch in
-          let base_off = if bias_taken then nt_base else t_base in
-          let off = base_off + (3 * cache_index ev.ctx ~slot) in
-          if hit = 1 then
-            Slab.unsafe_set state (off + 2)
-              (Counter.update ~bits:cfg.counter_bits cached ~taken:r.r_taken)
-          else if r.r_taken <> bias_taken then begin
-            (* an exception to the bias: allocate in the exception cache *)
-            Slab.unsafe_set state off 1;
-            Slab.unsafe_set state (off + 1) (cache_tag ev.ctx ~slot);
-            Slab.unsafe_set state (off + 2)
-              (if r.r_taken then Counter.weakly_taken ~bits:cfg.counter_bits
-               else Counter.weakly_not_taken ~bits:cfg.counter_bits)
-          end;
-          (* the choice table trains except when the cache corrected it *)
-          let cache_was_right =
-            hit = 1 && Counter.is_taken ~bits:cfg.counter_bits cached = r.r_taken
-          in
-          if not (cache_was_right && r.r_taken <> bias_taken) then
-            Slab.unsafe_set state (choice_index ev.ctx ~slot)
-              (Counter.update ~bits:cfg.counter_bits ch ~taken:r.r_taken)
+    Bitpack.Cursor.reset cursor ev.meta;
+    for slot = 0 to cfg.fetch_width - 1 do
+      let ch = Bitpack.Cursor.take cursor ~bits:cfg.counter_bits in
+      let hit = Bitpack.Cursor.take cursor ~bits:1 in
+      let cached = Bitpack.Cursor.take cursor ~bits:cfg.counter_bits in
+      let (r : Types.resolved) = ev.slots.(slot) in
+      if Types.cond_branch r then begin
+        let bias_taken = Counter.is_taken ~bits:cfg.counter_bits ch in
+        let base_off = if bias_taken then nt_base else t_base in
+        let off = base_off + (3 * cache_index ev.ctx ~slot) in
+        if hit = 1 then
+          Slab.unsafe_set state (off + 2)
+            (Counter.update ~bits:cfg.counter_bits cached ~taken:r.r_taken)
+        else if r.r_taken <> bias_taken then begin
+          (* an exception to the bias: allocate in the exception cache *)
+          Slab.unsafe_set state off 1;
+          Slab.unsafe_set state (off + 1) (cache_tag ev.ctx ~slot);
+          Slab.unsafe_set state (off + 2)
+            (if r.r_taken then Counter.weakly_taken ~bits:cfg.counter_bits
+             else Counter.weakly_not_taken ~bits:cfg.counter_bits)
         end;
-        per_slot (slot + 1) rest
-      | [] -> ()
-      | _ -> assert false
-    in
-    per_slot 0 fields
+        (* the choice table trains except when the cache corrected it *)
+        let cache_was_right =
+          hit = 1 && Counter.is_taken ~bits:cfg.counter_bits cached = r.r_taken
+        in
+        if not (cache_was_right && r.r_taken <> bias_taken) then
+          Slab.unsafe_set state (choice_index ev.ctx ~slot)
+            (Counter.update ~bits:cfg.counter_bits ch ~taken:r.r_taken)
+      end
+    done
   in
   let cache_bits_total =
     2 * (1 lsl cfg.cache_bits) * (1 + cfg.tag_bits + cfg.counter_bits)

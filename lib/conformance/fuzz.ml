@@ -47,7 +47,7 @@ type path = Commit | Wrong_path | Storm of int
 
 type packet = {
   pk_ctx : Context.t;
-  pk_pred_in : Types.prediction list;
+  pk_pred_in : Types.prediction array;
   pk_slots : Types.resolved array;
   pk_path : path;
 }
@@ -263,7 +263,7 @@ let packets sc ~arity ~fetch_width =
       let pc = pick_pc eng sc.shape in
       let slots = Array.init fetch_width (fun slot -> resolved_slot eng sc.shape pc slot) in
       let pred_in =
-        List.init arity (fun _ ->
+        Array.init arity (fun _ ->
             Array.init fetch_width (fun _ -> random_opinion eng))
       in
       let ctx =

@@ -43,7 +43,7 @@ type path =
 
 type packet = {
   pk_ctx : Context.t;
-  pk_pred_in : Types.prediction list;
+  pk_pred_in : Types.prediction array;
       (** synthesized incoming predictions, [arity] of them *)
   pk_slots : Types.resolved array;
   pk_path : path;

@@ -13,7 +13,9 @@ type 'a model = {
   arity : int;
   init : 'a;
   predict :
-    'a -> Context.t -> pred_in:Types.prediction list -> Types.prediction * Bits.t;
+    'a -> Context.t -> pred_in:Types.prediction array -> Types.prediction * Bits.t;
+      (* pure: a fresh prediction and metadata vector; [to_component]
+         copies them into the pipeline's buffers *)
   fire : 'a -> Component.event -> 'a;
   mispredict : 'a -> Component.event -> 'a;
   repair : 'a -> Component.event -> 'a;
@@ -52,7 +54,7 @@ let obit = function Some true -> 1 | _ -> 0
 let ovalid = function Some _ -> 1 | None -> 0
 
 let one_pred_in name = function
-  | [ p ] -> p
+  | [| p |] -> p
   | _ -> invalid_arg (name ^ " (golden): expected exactly one predict_in")
 
 let rep n layout = List.concat_map (fun _ -> layout) (List.init n Fun.id)
@@ -579,11 +581,11 @@ let tourney (cfg : C.Tourney.config) =
   let predict st ctx ~pred_in =
     let p0, p1 =
       match pred_in with
-      | [ a; b ] -> (a, b)
+      | [| a; b |] -> (a, b)
       | l ->
         invalid_arg
           (Printf.sprintf "%s (golden): selector needs 2 predict_in, got %d" cfg.name
-             (List.length l))
+             (Array.length l))
     in
     let pred = Array.make cfg.fetch_width Types.empty_opinion in
     let fields = ref [] in
@@ -1559,7 +1561,7 @@ type inst = {
   i_name : string;
   i_meta_bits : int;
   i_arity : int;
-  i_predict : Context.t -> pred_in:Types.prediction list -> Types.prediction * Bits.t;
+  i_predict : Context.t -> pred_in:Types.prediction array -> Types.prediction * Bits.t;
   i_fire : Component.event -> unit;
   i_mispredict : Component.event -> unit;
   i_repair : Component.event -> unit;
@@ -1592,7 +1594,10 @@ let to_component (P { model; make_real; _ }) =
   Component.make ~name:real.Component.name ~family:real.Component.family
     ~latency:real.Component.latency ~meta_bits:real.Component.meta_bits
     ~storage:real.Component.storage
-    ~predict:(fun ctx ~pred_in -> model.predict !state ctx ~pred_in)
+    ~predict:(fun ctx ~pred_in ~out ~meta ->
+      let pred, m = model.predict !state ctx ~pred_in in
+      Array.blit pred 0 out 0 (Array.length pred);
+      Bits.blit ~src:m ~dst:meta)
     ~fire:(fun ev -> state := model.fire !state ev)
     ~mispredict:(fun ev -> state := model.mispredict !state ev)
     ~repair:(fun ev -> state := model.repair !state ev)

@@ -19,7 +19,10 @@ type 'a model = {
   arity : int;  (** [pred_in] vectors consumed by [predict] *)
   init : 'a;
   predict :
-    'a -> Context.t -> pred_in:Types.prediction list -> Types.prediction * Cobra_util.Bits.t;
+    'a -> Context.t -> pred_in:Types.prediction array -> Types.prediction * Cobra_util.Bits.t;
+      (** pure: returns a fresh prediction and metadata vector (the models
+          stay functional; {!to_component} copies them into the pipeline's
+          row and metadata buffer) *)
   fire : 'a -> Component.event -> 'a;
   mispredict : 'a -> Component.event -> 'a;
   repair : 'a -> Component.event -> 'a;
@@ -72,7 +75,7 @@ type inst = {
   i_meta_bits : int;
   i_arity : int;
   i_predict :
-    Context.t -> pred_in:Types.prediction list -> Types.prediction * Cobra_util.Bits.t;
+    Context.t -> pred_in:Types.prediction array -> Types.prediction * Cobra_util.Bits.t;
   i_fire : Component.event -> unit;
   i_mispredict : Component.event -> unit;
   i_repair : Component.event -> unit;
@@ -89,7 +92,9 @@ val to_component : packed -> Component.t
 (** Wrap the golden model as a real [Component.t] (same name, family,
     latency, metadata width and storage declaration as the component it
     models) so it can be composed by [Topology] / [Pipeline] — the basis of
-    the end-to-end twin-design differential. *)
+    the end-to-end twin-design differential. Its [predict] copies the pure
+    model's prediction and metadata into the buffers the contract hands
+    it. *)
 
 val zoo : unit -> packed list
 (** One deliberately small-tabled instance of every component: heavy

@@ -2,9 +2,9 @@ module Bits = Cobra_util.Bits
 
 type t = {
   bits : int;
-  mutable base_value : Bits.t;
+  base_value : Bits.t;  (* written in place: one register for the whole run *)
   mutable pending : bool list list; (* oldest packet first *)
-  mutable cached : Bits.t option;
+  mutable cached : Bits.t option;  (* never [base_value] itself *)
 }
 
 let create ~bits =
@@ -23,10 +23,19 @@ let value t =
         (fun acc packet_bits -> List.fold_left Bits.shift_in_lsb acc packet_bits)
         t.base_value t.pending
     in
+    (* no bit pending: still a vector of its own *)
+    let v = if v == t.base_value then Bits.copy v else v in
     t.cached <- Some v;
     v
 
-let invalidate t = t.cached <- None
+(* Checked: a store into the field is a write barrier. *)
+let invalidate t = match t.cached with None -> () | Some _ -> t.cached <- None
+
+let shift_base_bits t ~count v =
+  Bits.shift_in_bits_in_place t.base_value ~count v;
+  invalidate t
+
+let shift_base t b = shift_base_bits t ~count:1 (if b then 1 else 0)
 
 let push_pending t bits =
   t.pending <- t.pending @ [ bits ];
@@ -46,20 +55,16 @@ let commit_oldest t =
   match t.pending with
   | [] -> invalid_arg "Ghist_provider.commit_oldest: nothing pending"
   | oldest :: rest ->
-    t.base_value <- List.fold_left Bits.shift_in_lsb t.base_value oldest;
+    List.iter (shift_base t) oldest;
     t.pending <- rest;
     invalidate t
 
 let pending_count t = List.length t.pending
 
-let shift_base t b =
-  t.base_value <- Bits.shift_in_lsb t.base_value b;
-  invalidate t
-
 let restore t snapshot =
   if Bits.width snapshot <> t.bits then
     invalid_arg "Ghist_provider.restore: snapshot width mismatch";
-  t.base_value <- snapshot;
+  Bits.blit ~src:snapshot ~dst:t.base_value;
   t.pending <- [];
   invalidate t
 

@@ -14,9 +14,14 @@ val create : bits:int -> t
 val width : t -> int
 
 val value : t -> Cobra_util.Bits.t
-(** Current speculative history (base plus pending contributions). *)
+(** Current speculative history (base plus pending contributions), as a
+    vector of its own: later shifts of the base do not change it. *)
 
 val base : t -> Cobra_util.Bits.t
+(** The committed register itself. It is the same vector for the
+    provider's whole life and every base update ({!commit_oldest},
+    {!shift_base}, {!restore}) rewrites it in place, so a reader sees the
+    current value; copy it to keep a value. *)
 
 val push_pending : t -> bool list -> unit
 (** Append a pending packet's predicted direction bits (oldest first). *)
@@ -39,8 +44,12 @@ val shift_base : t -> bool -> unit
 (** Shift one bit straight into the base: the net effect of pushing, firing
     and committing a one-bit packet when nothing else is pending. *)
 
+val shift_base_bits : t -> count:int -> int -> unit
+(** [shift_base_bits t ~count v] is {!shift_base} of bit [count - 1] of [v]
+    first down to bit 0 last, in one shift ([1 <= count <= 61]). *)
+
 val restore : t -> Cobra_util.Bits.t -> unit
-(** Mispredict repair: reset the base from a history-file snapshot and clear
+(** Mispredict repair: copy a history-file snapshot into the base and clear
     all pending contributions. *)
 
 val storage : t -> Storage.t

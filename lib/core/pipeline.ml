@@ -75,6 +75,8 @@ type step = {
   s_stage : int;  (* predict-in stage: [min latency depth - 1] *)
   s_srcs : int array;
   s_dst : int;
+  s_in : Types.prediction array;  (* the [pred_in] handed to predict, refilled per evaluation *)
+  s_out : Types.prediction;  (* the row predict writes, reset to silent per evaluation *)
 }
 
 type t = {
@@ -99,22 +101,32 @@ type t = {
   mutable pending : pending list; (* oldest first *)
   mutable next_token : token;
   mutable observer : (observation -> unit) option;
-  (* replay-mode buffers, reused by every transaction *)
+  (* Replay-mode scratch, reused by every transaction: one context whose
+     histories are the providers' own registers plus a local-history
+     buffer, the metadata buffers, the slot vectors and, per component,
+     the three event records that point at them. The general protocol
+     never hands any of it out. *)
+  replay_ctx : Context.t;
   replay_metas : Bits.t array;
-  replay_lhists : Bits.t array;
   replay_pred : Types.resolved array;
   replay_actual : Types.resolved array;
+  replay_fire : Component.event array;
+  replay_mispredict : Component.event array;
+  replay_update : Component.event array;
+  resolved_cache : Types.resolved array;
   mutable last_taken_pred : bool;
   mutable last_metas : Bits.t array;
 }
 
-let no_meta = Bits.zero 0
+(* Direct-mapped cache of the taken or targeted outcome records replay
+   mode builds per branch (see [intern_resolved]). *)
+let resolved_cache_size = 1024
 
 (* Flatten the topology into the schedule, in the order a recursive walk
    would evaluate it: [Override (hi, lo)] runs [lo] first, arbitration
    sub-topologies run head-first and then their selector. The order matters
    to components whose [predict] has side effects. *)
-let schedule comps depth topo =
+let schedule comps ~width depth topo =
   let id (c : Component.t) =
     let rec find i = if comps.(i) == c then i else find (i + 1) in
     find 0
@@ -124,7 +136,15 @@ let schedule comps depth topo =
     let dst = !n_regs in
     incr n_regs;
     steps :=
-      { s_comp = c; s_id = id c; s_stage = min c.latency depth - 1; s_srcs = srcs; s_dst = dst }
+      {
+        s_comp = c;
+        s_id = id c;
+        s_stage = Int.min c.latency depth - 1;
+        s_srcs = srcs;
+        s_dst = dst;
+        s_in = Array.make (Array.length srcs) [||];
+        s_out = Types.no_prediction ~width;
+      }
       :: !steps;
     dst
   in
@@ -147,9 +167,26 @@ let create cfg topo =
   let comps = Array.of_list (Topology.components topo) in
   let meta_bits = Array.map (fun (c : Component.t) -> c.meta_bits) comps in
   let depth = Topology.max_latency topo in
-  let steps, root, n_regs = schedule comps depth topo in
   let width = cfg.fetch_width in
+  let steps, root, n_regs = schedule comps ~width depth topo in
   let silent_row = Types.no_prediction ~width in
+  let ghist = Ghist_provider.create ~bits:cfg.ghist_bits in
+  let path = Ghist_provider.create ~bits:(Int.max 1 cfg.path_bits) in
+  let phist_off = Bits.zero 0 in
+  let replay_ctx =
+    Context.make ~pc:0 ~fetch_width:width ~live_slots:1 ~ghist:(Ghist_provider.base ghist)
+      ~lhists:(Array.init width (fun _ -> Bits.zero cfg.lhist_bits))
+      ~phist:(if cfg.path_bits = 0 then phist_off else Ghist_provider.base path)
+      ()
+  in
+  let replay_metas = Array.map (fun (c : Component.t) -> Bits.zero c.meta_bits) comps in
+  let replay_pred = Array.make width Types.no_branch in
+  let replay_actual = Array.make width Types.no_branch in
+  let events slots culprit =
+    Array.map
+      (fun meta -> { Component.ctx = replay_ctx; meta; slots; culprit })
+      replay_metas
+  in
   {
     cfg;
     topo;
@@ -162,21 +199,25 @@ let create cfg topo =
       Array.init n_regs (fun r ->
           if r = 0 then [||] else Array.init depth (fun _ -> Types.no_prediction ~width));
     silent_row;
-    ghist = Ghist_provider.create ~bits:cfg.ghist_bits;
-    path = Ghist_provider.create ~bits:(max 1 cfg.path_bits);
+    ghist;
+    path;
     lhist = Lhist_provider.create ~entries:cfg.lhist_entries ~bits:cfg.lhist_bits;
     lhist_dead = Bits.zero cfg.lhist_bits;
-    phist_off = Bits.zero 0;
+    phist_off;
     hf =
       History_file.create ~capacity:cfg.history_entries ~meta_bits ~fetch_width:width
         ~ghist_bits:cfg.ghist_bits ~lhist_bits:cfg.lhist_bits;
     pending = [];
     next_token = 0;
     observer = None;
-    replay_metas = Array.make (Array.length comps) no_meta;
-    replay_lhists = Array.make width (Bits.zero cfg.lhist_bits);
-    replay_pred = Array.make width Types.no_branch;
-    replay_actual = Array.make width Types.no_branch;
+    replay_ctx;
+    replay_metas;
+    replay_pred;
+    replay_actual;
+    replay_fire = events replay_pred None;
+    replay_mispredict = events replay_actual (Some 0);
+    replay_update = events replay_actual None;
+    resolved_cache = Array.make resolved_cache_size Types.no_branch;
     last_taken_pred = false;
     last_metas = [||];
   }
@@ -212,11 +253,12 @@ let storage t =
 
 (* --- topology evaluation ------------------------------------------------ *)
 
-let check_meta (c : Component.t) meta =
-  if Bits.width meta <> c.meta_bits then
-    invalid_arg
-      (Printf.sprintf "component %s returned %d metadata bits, declared %d" c.name
-         (Bits.width meta) c.meta_bits)
+(* Pointer stores into the long-lived bank cost a write barrier each;
+   steady-state evaluations mostly store what is already there. One per
+   element type: a polymorphic version compiles to generic array code. *)
+let[@inline] set_opinion (a : Types.opinion array) i v = if a.(i) != v then a.(i) <- v
+let[@inline] set_row (a : Types.prediction array) i v = if a.(i) != v then a.(i) <- v
+let[@inline] set_slot (a : Types.resolved array) i v = if a.(i) != v then a.(i) <- v
 
 let rec silent (pred : Types.prediction) i =
   i >= Array.length pred || (pred.(i) == Types.empty_opinion && silent pred (i + 1))
@@ -230,51 +272,53 @@ let rec silent (pred : Types.prediction) i =
 let[@inline] overlay_into t ~dst ~latency (src : Types.prediction array)
     (pred : Types.prediction) =
   let width = t.cfg.fetch_width in
-  if Array.length pred <> width then invalid_arg "Types.merge: prediction width mismatch";
   let out = t.regs.(dst) in
-  if silent pred 0 then Array.blit src 0 out 0 t.depth
+  if silent pred 0 then
+    for s = 0 to t.depth - 1 do
+      set_row out s src.(s)
+    done
   else begin
     let rows = t.bufs.(dst) in
     for s = 0 to t.depth - 1 do
       let below = src.(s) in
-      if s + 1 < latency then out.(s) <- below
-      else if s >= latency && below == src.(s - 1) then out.(s) <- out.(s - 1)
+      if s + 1 < latency then set_row out s below
+      else if s >= latency && below == src.(s - 1) then set_row out s out.(s - 1)
       else begin
         let row = rows.(s) in
         for i = 0 to width - 1 do
           let st = pred.(i) and w = below.(i) in
-          row.(i) <-
+          set_opinion row i
             (if st == Types.empty_opinion then w
              else if w == Types.empty_opinion then st
              else Types.merge_opinion ~strong:st ~weak:w)
         done;
-        out.(s) <- row
+        set_row out s row
       end
     done
   end
 
-let rec inputs regs srcs ~stage k =
-  if k >= Array.length srcs then []
-  else regs.(srcs.(k)).(stage) :: inputs regs srcs ~stage (k + 1)
-
-let[@inline] pred_in regs srcs ~stage =
-  if Array.length srcs = 1 then [ regs.(srcs.(0)).(stage) ] else inputs regs srcs ~stage 0
-
 (* Evaluate every component once, in schedule order (tables are read with
-   predict-time state), storing each metadata word into [metas] and, when
-   [raw] is given, each raw prediction, by component id. Returns the root
-   register's per-stage composites, indexed by stage-1. The rows live in the
-   register bank: they are overwritten by the next evaluation. *)
+   predict-time state), each writing its metadata into its buffer in
+   [metas] and, when [raw] is given, a copy of its raw prediction, by
+   component id. Returns the root register's per-stage composites, indexed
+   by stage-1. The rows live in the register bank: they are overwritten by
+   the next evaluation. *)
 let eval t (ctx : Context.t) metas raw =
   let steps = t.steps and regs = t.regs in
   for i = 0 to Array.length steps - 1 do
     let s = steps.(i) in
     let c = s.s_comp in
-    let pred, meta = c.predict ctx ~pred_in:(pred_in regs s.s_srcs ~stage:s.s_stage) in
-    check_meta c meta;
-    metas.(s.s_id) <- meta;
-    (match raw with Some r -> r.(s.s_id) <- pred | None -> ());
-    overlay_into t ~dst:s.s_dst ~latency:c.latency regs.(s.s_srcs.(0)) pred
+    let srcs = s.s_srcs and pred_in = s.s_in in
+    for k = 0 to Array.length srcs - 1 do
+      set_row pred_in k regs.(srcs.(k)).(s.s_stage)
+    done;
+    let out = s.s_out in
+    for i = 0 to Array.length out - 1 do
+      set_opinion out i Types.empty_opinion
+    done;
+    c.predict ctx ~pred_in ~out ~meta:metas.(s.s_id);
+    (match raw with Some r -> r.(s.s_id) <- Array.copy out | None -> ());
+    overlay_into t ~dst:s.s_dst ~latency:c.latency regs.(srcs.(0)) out
   done;
   regs.(t.root)
 
@@ -342,7 +386,7 @@ let rec path_bits_find_slot slots len i =
 
 let path_bits_of_slots t slots ~packet_len =
   if t.cfg.path_bits = 0 then []
-  else path_bits_find_slot slots (min packet_len (Array.length slots)) 0
+  else path_bits_find_slot slots (Int.min packet_len (Array.length slots)) 0
 
 (* Path bits implied by a stage composite at predict time: the first slot
    predicted as a taken branch, read straight off the opinions (what
@@ -360,7 +404,7 @@ let rec path_bits_find_op (pred : Types.prediction) len i =
 
 let path_bits_of_prediction t (pred : Types.prediction) ~packet_len =
   if t.cfg.path_bits = 0 then []
-  else path_bits_find_op pred (min packet_len (Array.length pred)) 0
+  else path_bits_find_op pred (Int.min packet_len (Array.length pred)) 0
 
 let unwind_lhist_pushes t pushes =
   List.iter (fun (pc, prior) -> Lhist_provider.restore t.lhist ~pc prior) (List.rev pushes)
@@ -375,7 +419,7 @@ let predict t ~pc ~max_len =
       ~phist:(if t.cfg.path_bits = 0 then t.phist_off else Ghist_provider.value t.path)
       ()
   in
-  let metas = Array.make (Array.length t.comps) no_meta in
+  let metas = Array.map (fun (c : Component.t) -> Bits.zero c.meta_bits) t.comps in
   let raw = if observed t then Some (Array.make (Array.length t.comps) [||]) else None in
   let stages = copy_rows t (eval t ctx metas raw) in
   let stage1 = stages.(0) in
@@ -504,7 +548,7 @@ let rec dir_bits_of_slots_loop slots len i acc =
     else dir_bits_of_slots_loop slots len (i + 1) acc
 
 let dir_bits_of_slots slots ~packet_len =
-  dir_bits_of_slots_loop slots (min packet_len (Array.length slots)) 0 []
+  dir_bits_of_slots_loop slots (Int.min packet_len (Array.length slots)) 0 []
 
 let fire t token ~slots ~packet_len =
   (match t.pending with
@@ -712,9 +756,7 @@ let snapshot t =
   let pos = ref 1 in
   pos := write_bits slab ~pos:!pos (Ghist_provider.base t.ghist);
   pos := write_bits slab ~pos:!pos (Ghist_provider.base t.path);
-  for i = 0 to Lhist_provider.entries t.lhist - 1 do
-    pos := write_bits slab ~pos:!pos (Lhist_provider.nth t.lhist i)
-  done;
+  pos := Lhist_provider.write_slab t.lhist slab ~pos:!pos;
   Array.iter
     (fun (c : Component.t) ->
       let n = Component.state_cells c in
@@ -742,12 +784,7 @@ let restore t slab =
   let ph, p = read_bits slab ~pos:!pos ~width:(Ghist_provider.width t.path) in
   pos := p;
   Ghist_provider.restore t.path ph;
-  let lw = Lhist_provider.bits t.lhist in
-  for i = 0 to Lhist_provider.entries t.lhist - 1 do
-    let v, p = read_bits slab ~pos:!pos ~width:lw in
-    pos := p;
-    Lhist_provider.set_nth t.lhist i v
-  done;
+  pos := Lhist_provider.read_slab t.lhist slab ~pos:!pos;
   Array.iter
     (fun (c : Component.t) ->
       let n = Component.state_cells c in
@@ -801,76 +838,96 @@ let push_path t target =
     Cobra_util.Hashing.fold_int (Cobra_util.Hashing.pc_bits target) ~width:62
       ~bits:path_bits_per_branch
   in
-  let v = ref (Ghist_provider.base t.path) in
+  (* bit 0 goes in first, so it ends up oldest: reverse the bit order *)
+  let v = ref 0 in
   for k = 0 to path_bits_per_branch - 1 do
-    v := Bits.shift_in_lsb !v ((folded lsr k) land 1 = 1)
+    v := (!v lsl 1) lor ((folded lsr k) land 1)
   done;
-  Ghist_provider.restore t.path !v
+  Ghist_provider.shift_base_bits t.path ~count:path_bits_per_branch !v
+
+(* [Types.resolved_branch] without the allocation in steady state: taken or
+   targeted outcomes come from a small direct-mapped cache of immutable
+   records keyed on (kind, taken, target), so a trace's recurring branches
+   reuse theirs. *)
+let intern_resolved t ~kind ~taken ~target =
+  if (not taken) && target = 0 then Types.resolved_branch ~kind ~taken ~target
+  else begin
+    let k = Types.branch_kind_to_int kind in
+    let cache = t.resolved_cache in
+    let h =
+      ((target lsr 2) lxor (target lsr 12) lxor (k lsl 7) lxor if taken then 0x3a5 else 0)
+      land (resolved_cache_size - 1)
+    in
+    let r = cache.(h) in
+    if
+      r.Types.r_is_branch && r.Types.r_taken = taken && r.Types.r_target = target
+      && Types.branch_kind_to_int r.Types.r_kind = k
+    then r
+    else begin
+      let r = Types.resolved_branch ~kind ~taken ~target in
+      cache.(h) <- r;
+      r
+    end
+  end
 
 (* The reference transaction's net effect in closed form. On a quiesced
    pipeline the speculative histories equal the providers' bases, and the
    predict-time pushes, the fire-time predecode correction, the mispredict
-   restore and the commit collapse into one update per branch. Events go
-   out in component order, as [fire], [mispredict] and [commit] deliver
-   them. *)
+   restore and the commit collapse into one update per branch. The
+   context's histories are the providers' registers themselves, so the
+   events — in component order, as [fire], [mispredict] and [commit]
+   deliver them — go out first, while they still hold the predict-time
+   values, and the registers shift after. *)
 let replay_step t ~pc ~kind ~taken ~target =
   if observed t || not (quiesced t) then
     invalid_arg
       "Pipeline.replay_step: needs a quiesced pipeline with no observer attached";
-  let lhists = t.replay_lhists in
-  lhists.(0) <- Lhist_provider.read t.lhist ~pc;
-  let ctx =
-    Context.make ~pc ~fetch_width:t.cfg.fetch_width ~live_slots:1
-      ~ghist:(Ghist_provider.base t.ghist) ~lhists
-      ~phist:(if t.cfg.path_bits = 0 then t.phist_off else Ghist_provider.base t.path)
-      ()
-  in
+  let ctx = t.replay_ctx in
+  Context.renew ctx ~pc ~live_slots:1;
+  Lhist_provider.read_into t.lhist ~pc ctx.Context.lhists.(0);
   let metas = t.replay_metas in
   let rows = eval t ctx metas None in
   let final = rows.(t.depth - 1).(0) in
   let taken_pred = predicted_taken ~kind final in
   let wrong = mispredicted ~kind ~taken ~target final in
   let target = if target >= 0 then target else 0 in
-  let is_cond = match kind with Types.Cond -> true | _ -> false in
-  t.next_token <- t.next_token + 1;
-  if t.cfg.predecode_history_correction || wrong then begin
-    (* the predecode correction (or the mispredict restore) leaves the
-       actual outcome: one bit per conditional, the target when taken *)
-    if is_cond then begin
-      Ghist_provider.shift_base t.ghist taken;
-      Lhist_provider.push t.lhist ~pc taken
-    end;
-    if t.cfg.path_bits > 0 && taken then push_path t target
-  end
-  else begin
-    (* a right prediction without predecode correction commits the bits
-       read off the Fetch-1 composite's slot-0 opinion *)
-    let op = rows.(0).(0) in
-    let branch = match op.Types.o_branch with Some b -> b | None -> false in
-    let op_taken = match op.Types.o_taken with Some b -> b | None -> false in
-    if branch && (match op.Types.o_kind with None | Some Types.Cond -> true | Some _ -> false)
-    then begin
-      Ghist_provider.shift_base t.ghist op_taken;
-      Lhist_provider.push t.lhist ~pc op_taken
-    end;
-    if t.cfg.path_bits > 0 && branch && op_taken then
-      push_path t (match op.Types.o_target with Some v -> v | None -> 0)
-  end;
   let pred = t.replay_pred and actual = t.replay_actual in
-  pred.(0) <-
-    Types.resolved_branch ~kind ~taken:taken_pred ~target:(if taken_pred then target else 0);
-  actual.(0) <- Types.resolved_branch ~kind ~taken ~target;
+  set_slot pred 0 (intern_resolved t ~kind ~taken:taken_pred ~target:(if taken_pred then target else 0));
+  set_slot actual 0 (intern_resolved t ~kind ~taken ~target);
+  (* the bits the transaction leaves in the histories: with predecode
+     correction (or after the mispredict restore) the actual outcome — one
+     bit per conditional, the target when taken; a right prediction
+     without it commits what the Fetch-1 composite's slot-0 opinion said *)
+  let push_dir, dir, push_tgt, tgt =
+    if t.cfg.predecode_history_correction || wrong then
+      ((match kind with Types.Cond -> true | _ -> false), taken, taken, target)
+    else begin
+      let op = rows.(0).(0) in
+      let branch = match op.Types.o_branch with Some b -> b | None -> false in
+      let op_taken = match op.Types.o_taken with Some b -> b | None -> false in
+      ( branch && (match op.Types.o_kind with None | Some Types.Cond -> true | Some _ -> false),
+        op_taken,
+        branch && op_taken,
+        match op.Types.o_target with Some v -> v | None -> 0 )
+    end
+  in
   let comps = t.comps in
   for i = 0 to Array.length comps - 1 do
-    comps.(i).fire { Component.ctx; meta = metas.(i); slots = pred; culprit = None }
+    comps.(i).fire t.replay_fire.(i)
   done;
   if wrong then
     for i = 0 to Array.length comps - 1 do
-      comps.(i).mispredict { Component.ctx; meta = metas.(i); slots = actual; culprit = Some 0 }
+      comps.(i).mispredict t.replay_mispredict.(i)
     done;
   for i = 0 to Array.length comps - 1 do
-    comps.(i).update { Component.ctx; meta = metas.(i); slots = actual; culprit = None }
+    comps.(i).update t.replay_update.(i)
   done;
+  t.next_token <- t.next_token + 1;
+  if push_dir then begin
+    Ghist_provider.shift_base t.ghist dir;
+    Lhist_provider.push t.lhist ~pc dir
+  end;
+  if t.cfg.path_bits > 0 && push_tgt then push_path t tgt;
   t.last_taken_pred <- taken_pred;
-  t.last_metas <- metas;
+  if t.last_metas != metas then t.last_metas <- metas;
   wrong

@@ -211,7 +211,11 @@ val restore : t -> Cobra_util.Slab.t -> unit
       speculative histories equal the providers' bases, so the predict-time
       pushes, the fire-time predecode correction, the mispredict restore
       and the commit collapse into one history update per branch, and
-      neither pending packets nor the history file are touched.
+      neither pending packets nor the history file are touched. It runs
+      on the pipeline's own reused context, metadata buffers, slot vectors
+      and event records, so it allocates only what the components do
+      (nothing for ALWAYS or GShare). Its events see the predict-time
+      histories: they are delivered before the registers shift.
 
     A pipeline may alternate between the two transactions and the general
     protocol freely, as long as each transaction starts quiesced. *)

@@ -69,13 +69,42 @@ let direction_hint ~taken = if taken then hint_taken else hint_not_taken
 
 let first_some a b = match a with Some _ -> a | None -> b
 
+(* Field agreement for the merge fast paths, by pattern match: [strong]'s
+   field changes nothing when unset or equal to [weak]'s. *)
+let keeps_bool (s : bool option) w = match (s, w) with None, _ -> true | Some a, Some b -> a = b | Some _, None -> false
+let keeps_int (s : int option) w = match (s, w) with None, _ -> true | Some a, Some b -> a = b | Some _, None -> false
+
+let keeps_kind s w =
+  match (s, w) with
+  | None, _ -> true
+  | Some a, Some b -> branch_kind_to_int a = branch_kind_to_int b
+  | Some _, None -> false
+
+let is_none = function None -> true | Some _ -> false
+
+(* When one side supplies every set field of the result, return it rather
+   than a fresh record (structurally the same opinion): a direction
+   provider agreeing with a full opinion below it then costs nothing. *)
 let merge_opinion ~strong ~weak =
-  {
-    o_branch = first_some strong.o_branch weak.o_branch;
-    o_kind = first_some strong.o_kind weak.o_kind;
-    o_taken = first_some strong.o_taken weak.o_taken;
-    o_target = first_some strong.o_target weak.o_target;
-  }
+  if
+    keeps_bool strong.o_branch weak.o_branch
+    && keeps_kind strong.o_kind weak.o_kind
+    && keeps_bool strong.o_taken weak.o_taken
+    && keeps_int strong.o_target weak.o_target
+  then weak
+  else if
+    (is_none weak.o_branch || not (is_none strong.o_branch))
+    && (is_none weak.o_kind || not (is_none strong.o_kind))
+    && (is_none weak.o_taken || not (is_none strong.o_taken))
+    && (is_none weak.o_target || not (is_none strong.o_target))
+  then strong
+  else
+    {
+      o_branch = first_some strong.o_branch weak.o_branch;
+      o_kind = first_some strong.o_kind weak.o_kind;
+      o_taken = first_some strong.o_taken weak.o_taken;
+      o_target = first_some strong.o_target weak.o_target;
+    }
 
 type prediction = opinion array
 
@@ -121,7 +150,7 @@ let rec next_fetch_find pred len i =
     { taken_slot = Some i; packet_len = i + 1; next_pc = pred.(i).o_target }
   else next_fetch_find pred len (i + 1)
 
-let next_fetch pred ~pc:_ ~max_len = next_fetch_find pred (min max_len (Array.length pred)) 0
+let next_fetch pred ~pc:_ ~max_len = next_fetch_find pred (Int.min max_len (Array.length pred)) 0
 
 let rec direction_bits_loop pred len i acc =
   if i >= len then List.rev acc
@@ -139,7 +168,7 @@ let rec direction_bits_loop pred len i acc =
     if is_taken_slot op then List.rev acc else direction_bits_loop pred len (i + 1) acc
 
 let direction_bits pred ~packet_len =
-  direction_bits_loop pred (min packet_len (Array.length pred)) 0 []
+  direction_bits_loop pred (Int.min packet_len (Array.length pred)) 0 []
 
 let pp_option pp ppf = function
   | None -> Format.pp_print_string ppf "-"

@@ -65,7 +65,8 @@ val direction_hint : taken:bool -> opinion
 
 val merge_opinion : strong:opinion -> weak:opinion -> opinion
 (** Field-wise override: [strong]'s set fields win, unset fields fall
-    through to [weak]. *)
+    through to [weak]. When one argument already is the result (field for
+    field) it is returned itself instead of a fresh record. *)
 
 
 type prediction = opinion array

@@ -26,9 +26,11 @@ let event_obj ?id ~event fields =
   let id = match id with Some i -> [ ("id", Json.String i) ] | None -> [] in
   Json.Obj ((base @ id) @ (("event", Json.String event) :: fields))
 
+let log_line cfg line = match cfg.log with Some f -> (try f line with _ -> ()) | None -> ()
+
 let emit cfg send ?id ~event fields =
   let line = Json.to_string (event_obj ?id ~event fields) in
-  (match cfg.log with Some f -> (try f line with _ -> ()) | None -> ());
+  log_line cfg line;
   send line
 
 let interval_fields p =
@@ -467,7 +469,7 @@ let handle_sweep cfg send ?id req =
 
 let emit_event = emit
 
-let handle_line cfg send line =
+let handle_line ?connections cfg send line =
   let id = ref None in
   let verdict =
     match Json.of_string line with
@@ -481,7 +483,10 @@ let handle_line cfg send line =
       let id = !id in
       match Json.member "op" req with
       | Some (Json.String "ping") ->
-        emit cfg send ?id ~event:"pong" [];
+        emit cfg send ?id ~event:"pong"
+          (match connections with
+          | Some live -> [ ("connections", Json.Int (live ())) ]
+          | None -> []);
         `Continue
       | Some (Json.String "shutdown") ->
         emit cfg send ?id ~event:"bye" [];
@@ -556,49 +561,63 @@ let read_request ic =
   in
   go ()
 
-let handle_connection cfg stopping fd =
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  let send_mutex = Mutex.create () in
-  let send line =
-    Mutex.lock send_mutex;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock send_mutex)
-      (fun () ->
-        output_string oc line;
-        output_char oc '\n';
-        flush oc)
-  in
-  let rec loop () =
-    match read_request ic with
-    | `Eof | (exception Sys_error _) -> ()
-    | `Too_long ->
-      (* the rest of the line is never read: answer, then drop the client *)
-      emit cfg send ~event:"error"
-        [
-          ( "error",
-            Json.String (Printf.sprintf "request longer than %d bytes" max_request_bytes) );
-        ];
-      emit cfg send ~event:"done" []
-    | `Line line ->
-      if String.trim line = "" then loop ()
-      else begin
-        match handle_line cfg send line with
-        | `Continue -> loop ()
-        | `Shutdown ->
-          Atomic.set stopping true;
-          (* the accept loop is blocked in [Unix.accept]; poke it awake *)
-          (try
-             let w = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-             (try Unix.connect w (Unix.ADDR_UNIX cfg.socket)
-              with Unix.Unix_error _ -> ());
-             Unix.close w
-           with Unix.Unix_error _ -> ())
-      end
-  in
+(* Owns [fd]: closes it exactly once, when the connection ends for any
+   reason. *)
+let handle_connection cfg stopping ~connections fd =
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    loop
+    (fun () ->
+      let ic = Unix.in_channel_of_descr fd in
+      let oc = Unix.out_channel_of_descr fd in
+      let send_mutex = Mutex.create () in
+      let send line =
+        Mutex.lock send_mutex;
+        Fun.protect
+          ~finally:(fun () -> Mutex.unlock send_mutex)
+          (fun () ->
+            output_string oc line;
+            output_char oc '\n';
+            flush oc)
+      in
+      let rec loop () =
+        match read_request ic with
+        | `Eof | (exception Sys_error _) -> ()
+        | `Too_long ->
+          (* the rest of the line is never read: answer, then drop the client *)
+          emit cfg send ~event:"error"
+            [
+              ( "error",
+                Json.String (Printf.sprintf "request longer than %d bytes" max_request_bytes) );
+            ];
+          emit cfg send ~event:"done" []
+        | `Line line ->
+          if String.trim line = "" then loop ()
+          else begin
+            match handle_line ~connections cfg send line with
+            | `Continue -> loop ()
+            | `Shutdown ->
+              Atomic.set stopping true;
+              (* the accept loop is blocked in [Unix.accept]; poke it awake *)
+              (try
+                 let w = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+                 (try Unix.connect w (Unix.ADDR_UNIX cfg.socket)
+                  with Unix.Unix_error _ -> ());
+                 Unix.close w
+               with Unix.Unix_error _ -> ())
+          end
+      in
+      loop ())
+
+(* The live connections: each thread is registered before it can run its
+   body (the accept loop holds the lock across [Thread.create]) and removes
+   itself when it ends, so the table only ever holds running threads. *)
+type registry = { lock : Mutex.t; live : (int, Thread.t) Hashtbl.t; mutable next_id : int }
+
+let with_lock r f =
+  Mutex.lock r.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock r.lock) f
+
+let live_count r = with_lock r (fun () -> Hashtbl.length r.live)
 
 (* Take the socket path over only when nobody answers on it: a live daemon
    keeps its socket, a stale socket file is removed, and anything else at
@@ -629,25 +648,37 @@ let serve cfg =
   Unix.bind sock (Unix.ADDR_UNIX cfg.socket);
   Unix.listen sock 16;
   let stopping = Atomic.make false in
-  let threads = ref [] in
+  let conns = { lock = Mutex.create (); live = Hashtbl.create 16; next_id = 0 } in
+  let connections () = live_count conns in
+  let run_connection id fd =
+    Fun.protect
+      ~finally:(fun () -> with_lock conns (fun () -> Hashtbl.remove conns.live id))
+      (fun () ->
+        (* [handle_connection] has closed [fd] by the time anything gets
+           here; the connection ends, the daemon and its log carry on *)
+        try handle_connection cfg stopping ~connections fd
+        with e ->
+          log_line cfg
+            (Json.to_string
+               (event_obj ~event:"connection_error"
+                  [ ("error", Json.String (Printexc.to_string e)) ])))
+  in
   (while not (Atomic.get stopping) do
      match Unix.accept sock with
      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
      | fd, _ ->
        if Atomic.get stopping then (try Unix.close fd with Unix.Unix_error _ -> ())
        else
-         let t =
-           Thread.create
-             (fun () ->
-               try handle_connection cfg stopping fd
-               with _ -> (try Unix.close fd with Unix.Unix_error _ -> ()))
-             ()
-         in
-         threads := t :: !threads
+         with_lock conns (fun () ->
+             let id = conns.next_id in
+             conns.next_id <- id + 1;
+             Hashtbl.replace conns.live id (Thread.create (run_connection id) fd))
    done;
    (* a shutdown handler flipped the flag; if it came from another thread's
-      connection the accept above already returned via the self-connect *)
-   List.iter (fun t -> try Thread.join t with _ -> ()) !threads);
+      connection the accept above already returned via the self-connect.
+     Join whoever is still connected (the shutdown requester among them). *)
+   let still_live = with_lock conns (fun () -> Hashtbl.fold (fun _ t acc -> t :: acc) conns.live []) in
+   List.iter (fun t -> try Thread.join t with _ -> ()) still_live);
   (try Unix.close sock with Unix.Unix_error _ -> ());
   if Sys.file_exists cfg.socket then (try Unix.unlink cfg.socket with Sys_error _ -> ())
 

@@ -7,7 +7,9 @@
 
     Requests ([op] selects):
 
-    - [{"op": "ping"}] — liveness probe; answered with ["pong"].
+    - [{"op": "ping"}] — liveness probe; answered with ["pong"]. From a
+      daemon the pong carries ["connections"], the number of connections
+      open at that moment (the asking one included).
     - [{"op": "replay", "design": D, "trace", PATH, ...}] — one replay
       point. Optional fields: [max_branches], [max_insns] (caps),
       [stats: true] (attach the collector; streams ["interval"] points and
@@ -98,9 +100,12 @@ val emit_event :
 
 (** {1 Exposed for tests} *)
 
-val handle_line : config -> (string -> unit) -> string -> [ `Continue | `Shutdown ]
+val handle_line :
+  ?connections:(unit -> int) -> config -> (string -> unit) -> string -> [ `Continue | `Shutdown ]
 (** Process one request line, emitting response lines through the callback.
-    Never raises: protocol and execution failures become ["error"]
+    [connections] reports the live connection count for the ["pong"]
+    reply (omitted from the reply when absent). Raises only what the
+    callback raises: protocol and execution failures become ["error"]
     events. *)
 
 val warm_cache_stats : unit -> int * int

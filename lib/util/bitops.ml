@@ -5,7 +5,10 @@ let log2_exact n =
   let rec loop acc n = if n <= 1 then acc else loop (acc + 1) (n lsr 1) in
   loop 0 n
 
+(* [n] is threaded through: a loop capturing it would allocate a closure
+   per call. *)
+let rec bits_needed_loop n acc v = if v >= n then acc else bits_needed_loop n (acc + 1) (v lsl 1)
+
 let bits_needed n =
   if n < 1 then invalid_arg "Bitops.bits_needed: n < 1";
-  let rec loop acc v = if v >= n then acc else loop (acc + 1) (v lsl 1) in
-  loop 0 1
+  bits_needed_loop n 0 1

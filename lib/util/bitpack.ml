@@ -42,15 +42,14 @@ let limb_mask = (1 lsl limb_bits) - 1
 module Packer = struct
   type t = {
     width : int;
-    nlimbs : int;
-    scratch : int array;  (* accumulated in place, copied out by [finish] *)
+    scratch : int array;  (* accumulated in place, copied out by [finish_into] *)
     mutable pos : int;
   }
 
   let create ~width =
     if width < 0 then invalid_arg "Bitpack.Packer.create: negative width";
     let nlimbs = (width + limb_bits - 1) / limb_bits in
-    { width; nlimbs; scratch = Array.make (max 1 nlimbs) 0; pos = 0 }
+    { width; scratch = Array.make (Int.max 1 nlimbs) 0; pos = 0 }
 
   let reset t =
     Array.fill t.scratch 0 (Array.length t.scratch) 0;
@@ -75,14 +74,17 @@ module Packer = struct
       t.pos <- t.pos + bits
     end
 
-  let finish t =
+  let finish_into t dst =
     if t.pos <> t.width then
       invalid_arg
-        (Printf.sprintf "Bitpack.Packer.finish: fields cover %d bits, declared %d" t.pos
+        (Printf.sprintf "Bitpack.Packer.finish_into: fields cover %d bits, declared %d" t.pos
            t.width);
-    let b = Bits.of_limbs ~width:t.width (Array.sub t.scratch 0 t.nlimbs) in
-    reset t;
-    b
+    if Bits.width dst <> t.width then
+      invalid_arg
+        (Printf.sprintf "Bitpack.Packer.finish_into: %d-bit fields into a %d-bit buffer"
+           t.width (Bits.width dst));
+    Bits.blit_from_limbs t.scratch ~pos:0 dst;
+    reset t
 end
 
 module Cursor = struct

@@ -20,7 +20,8 @@ val unpack : Bits.t -> int list -> int list
     layout as {!pack}, but fields are written straight into a persistent
     scratch buffer instead of consing a [(value, width)] list per call. A
     component allocates one packer at elaboration time and calls
-    [add]* / [finish] once per predict. *)
+    [add]* / [finish_into] once per predict, sealing the fields into the
+    metadata buffer the pipeline hands it. *)
 module Packer : sig
   type t
 
@@ -32,10 +33,11 @@ module Packer : sig
       in the low bits, matching {!pack}). Raises [Invalid_argument] when the
       value does not fit or the fields overflow [width]. *)
 
-  val finish : t -> Bits.t
-  (** Seal the accumulated fields into a fresh vector and reset the packer
-      for the next cycle. Raises [Invalid_argument] unless the fields cover
-      [width] exactly. *)
+  val finish_into : t -> Bits.t -> unit
+  (** [finish_into t buf] seals the accumulated fields into [buf] (a
+      caller-owned buffer, overwritten in place) and resets the packer for
+      the next cycle. Raises [Invalid_argument] unless the fields cover
+      [width] exactly and [buf] is [width] bits wide. Allocates nothing. *)
 
   val reset : t -> unit
   (** Discard any partially accumulated fields (error recovery). *)

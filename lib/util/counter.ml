@@ -19,8 +19,8 @@ let confidence ~bits v =
   let mid = weakly_taken ~bits in
   if v >= mid then v - mid else mid - 1 - v
 
-let increment ~bits v = min (max_value ~bits) (v + 1)
-let decrement ~bits v = ignore (check_bits bits); max 0 (v - 1)
+let increment ~bits v = Int.min (max_value ~bits) (v + 1)
+let decrement ~bits v = ignore (check_bits bits); Int.max 0 (v - 1)
 
 let update ~bits v ~taken = if taken then increment ~bits v else decrement ~bits v
 
@@ -33,8 +33,8 @@ let signed_max ~bits =
   (1 lsl (bits - 1)) - 1
 
 let update_signed ~bits v ~dir =
-  if dir > 0 then min (signed_max ~bits) (v + 1)
-  else if dir < 0 then max (signed_min ~bits) (v - 1)
+  if dir > 0 then Int.min (signed_max ~bits) (v + 1)
+  else if dir < 0 then Int.max (signed_min ~bits) (v - 1)
   else v
 
 let is_valid ~bits v = v >= 0 && v <= max_value ~bits

@@ -11,10 +11,14 @@ val copy : t -> t
 
 val state : t -> int64
 (** The raw splitmix64 state, for serializing an [Rng.t] into a state
-    slab (split across two <=32-bit cells by the owner). *)
+    slab (split across two <=32-bit cells by the owner, as
+    {!chance_in_slab} reads it). *)
 
-val set_state : t -> int64 -> unit
-(** Inverse of {!state}: resume from a serialized state. *)
+val chance_in_slab : Slab.t -> lo:int -> hi:int -> float -> bool
+(** [chance_in_slab slab ~lo ~hi p] is {!chance} [p] on the generator
+    whose state is serialized in cells [lo] (its low 31 bits) and [hi] (the
+    high 33 bits) of [slab], advancing that state in place. Bit-identical
+    to {!chance} on an [Rng.t] holding that state, without allocating. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound); [bound >= 1]. *)

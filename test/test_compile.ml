@@ -517,6 +517,55 @@ let test_warm_cache_lru () =
 
 (* --- registration ----------------------------------------------------------------- *)
 
+(* --- steady-state allocation ---------------------------------------------------- *)
+
+(* Minor-heap words per replayed branch, by design, after a 5000-branch
+   warm-up, over the next 20000 branches of the pinned h2p-mix stream.
+   ALWAYS (the framework floor) and GShare allocate nothing; TAGE-L's
+   remaining words are the opinions its BTB and micro-BTB build for hits
+   (each carries the entry's own target) and the merges of a direction
+   over them. The bounds sit half a word above what this stream measures,
+   so putting back any allocation on the per-branch path trips them. *)
+let allocation_bounds = [ ("ALWAYS", 0.5); ("GShare", 0.5); ("TAGE-L", 20.9) ]
+
+let test_replay_step_allocation () =
+  let path = Filename.temp_file "cobra_alloc" ".cobt" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      ignore
+        (Writer.export_stream ~max_branches:25_000 ~path
+           (Cobra_workloads.Kernels.h2p_mix ~seed:1 ()));
+      let recs = Array.of_list (Reader.load path) in
+      check Alcotest.int "stream length" 25_000 (Array.length recs);
+      let pipeline = function
+        | "ALWAYS" ->
+          let t = Cobra_probe.Target.find_exn "ALWAYS" in
+          Pipeline.create t.Cobra_probe.Target.t_config (t.Cobra_probe.Target.t_make ())
+        | "GShare" -> Designs.pipeline Designs.gshare_only
+        | _ -> Designs.pipeline Designs.tage_l
+      in
+      List.iter
+        (fun (name, bound) ->
+          let pl = pipeline name in
+          let step (r : Btrace.record) =
+            ignore
+              (Pipeline.replay_step pl ~pc:r.Btrace.b_pc ~kind:r.Btrace.b_kind
+                 ~taken:r.Btrace.b_taken ~target:r.Btrace.b_target)
+          in
+          for i = 0 to 4_999 do
+            step recs.(i)
+          done;
+          let w0 = Gc.minor_words () in
+          for i = 5_000 to 24_999 do
+            step recs.(i)
+          done;
+          let per_branch = (Gc.minor_words () -. w0) /. 20_000.0 in
+          if per_branch > bound then
+            Alcotest.failf "%s: replay_step allocates %.2f words per branch (bound %.1f)" name
+              per_branch bound)
+        allocation_bounds)
+
 let () =
   Alcotest.run "compile"
     [
@@ -542,5 +591,10 @@ let () =
           Alcotest.test_case "windowed sweep on the compiled engine" `Quick
             test_serve_windowed_compiled;
           Alcotest.test_case "warm cache LRU cap" `Quick test_warm_cache_lru;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "replay_step steady state within word bounds" `Quick
+            test_replay_step_allocation;
         ] );
     ]

@@ -46,7 +46,7 @@ let ctx ?(pc = 0x4000) ?(ghist = Bits.zero 64) () =
     ~phist:(Bits.zero 16) ()
 
 let no_pred_in (inst : Golden.inst) =
-  List.init inst.Golden.i_arity (fun _ -> Types.no_prediction ~width)
+  Array.init inst.Golden.i_arity (fun _ -> Types.no_prediction ~width)
 
 let predict_slot0 ?pc ?ghist ?pred_in (inst : Golden.inst) =
   let c = ctx ?pc ?ghist () in
@@ -162,7 +162,7 @@ let test_ittage_repair_roundtrip () =
 let test_sc_inverts () =
   let inst = Golden.instantiate (find_packed "zSC") in
   let incoming taken =
-    [ Array.init width (fun _ -> { Types.empty_opinion with o_taken = Some taken }) ]
+    [| Array.init width (fun _ -> { Types.empty_opinion with o_taken = Some taken }) |]
   in
   train inst ~pred_in:(incoming true) ~taken:false 60;
   assert_invariant inst;
@@ -171,7 +171,7 @@ let test_sc_inverts () =
 
 let test_sc_repair_roundtrip () =
   let inst = Golden.instantiate (find_packed "zSC") in
-  let incoming = [ Array.init width (fun _ -> { Types.empty_opinion with o_taken = Some true }) ] in
+  let incoming = [| Array.init width (fun _ -> { Types.empty_opinion with o_taken = Some true }) |] in
   train inst ~pred_in:incoming ~taken:false 30;
   let before = predict_slot0 ~pred_in:incoming inst in
   let c = ctx () in

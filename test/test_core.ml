@@ -12,8 +12,10 @@ type log_entry = Fired | Mispredicted of int option | Repaired | Updated
 
 let stub ?(latency = 1) ?(meta_bits = 8) ?(meta_value = 0xAB) ~name behaviour =
   let log = ref [] in
-  let predict ctx ~pred_in =
-    (behaviour ctx pred_in, Bits.of_int ~width:meta_bits meta_value)
+  let predict ctx ~pred_in ~out ~meta =
+    let pred = behaviour ctx pred_in in
+    Array.blit pred 0 out 0 (Array.length pred);
+    Bits.blit ~src:(Bits.of_int ~width:meta_bits meta_value) ~dst:meta
   in
   let push e (_ : Component.event) = log := e :: !log in
   let component =
@@ -200,7 +202,7 @@ let test_arbitrate_default_path () =
   let sel, _ =
     stub ~latency:3 ~name:"TOURNEY" (fun _ pred_in ->
         match pred_in with
-        | [ _g; l ] ->
+        | [| _g; l |] ->
           (* always choose the second input *)
           let p = Types.no_prediction ~width in
           p.(0) <- { Types.empty_opinion with o_taken = l.(0).Types.o_taken };
@@ -237,7 +239,7 @@ let test_metadata_roundtrip () =
   let spy =
     Component.make ~name:"SPY" ~family:Component.Static ~latency:1 ~meta_bits:4
       ~storage:Storage.zero
-      ~predict:(fun _ ~pred_in:_ -> (Types.no_prediction ~width, Bits.of_int ~width:4 0x9))
+      ~predict:(fun _ ~pred_in:_ ~out:_ ~meta -> Bits.blit ~src:(Bits.of_int ~width:4 0x9) ~dst:meta)
       ~update:(fun ev -> seen := Bits.to_int ev.meta :: !seen)
       ()
   in
@@ -350,12 +352,16 @@ let test_meta_width_enforced () =
   let bad =
     Component.make ~name:"BAD" ~family:Component.Static ~latency:1 ~meta_bits:8
       ~storage:Storage.zero
-      ~predict:(fun _ ~pred_in:_ -> (Types.no_prediction ~width, Bits.zero 4))
+      ~predict:(fun _ ~pred_in:_ ~out:_ ~meta ->
+        (* packs 4 bits of metadata into the 8-bit buffer of its declaration *)
+        let packer = Cobra_util.Bitpack.Packer.create ~width:4 in
+        Cobra_util.Bitpack.Packer.add packer 0x9 ~bits:4;
+        Cobra_util.Bitpack.Packer.finish_into packer meta)
       ()
   in
   let pl = Pipeline.create cfg (Topology.node bad) in
   Alcotest.check_raises "width mismatch"
-    (Invalid_argument "component BAD returned 4 metadata bits, declared 8") (fun () ->
+    (Invalid_argument "Bitpack.Packer.finish_into: 4-bit fields into a 8-bit buffer") (fun () ->
       ignore (Pipeline.predict pl ~pc:0 ~max_len:4))
 
 (* --- history providers: property tests against reference models ---------- *)

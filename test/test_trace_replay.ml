@@ -70,12 +70,12 @@ let binary_record_roundtrip () =
   let limit = Bytes.length bytes in
   let pos = ref 0 in
   let decoded = ref [] in
+  let next = ref 0 in
   while !pos < limit do
-    match Btrace.decode_record bytes ~pos:!pos ~limit ~abs_offset:!pos with
-    | Btrace.Need_more -> Alcotest.fail "Need_more on a complete buffer"
-    | Btrace.Decoded (r, consumed) ->
-      decoded := r :: !decoded;
-      pos := !pos + consumed
+    let r = Btrace.decode_record bytes ~pos:!pos ~limit ~abs_offset:!pos ~next in
+    if r == Btrace.need_more then Alcotest.fail "need_more on a complete buffer";
+    decoded := r :: !decoded;
+    pos := !next
   done;
   let decoded = List.rev !decoded in
   check Alcotest.int "record count" (List.length sample_records) (List.length decoded);
@@ -93,9 +93,8 @@ let binary_need_more () =
   let full = Bytes.length bytes in
   (* every strict prefix of a record must ask for more, never mis-decode *)
   for limit = 0 to full - 1 do
-    match Btrace.decode_record bytes ~pos:0 ~limit ~abs_offset:0 with
-    | Btrace.Need_more -> ()
-    | Btrace.Decoded _ -> Alcotest.failf "decoded from a %d/%d-byte prefix" limit full
+    if Btrace.decode_record bytes ~pos:0 ~limit ~abs_offset:0 ~next:(ref 0) != Btrace.need_more
+    then Alcotest.failf "decoded from a %d/%d-byte prefix" limit full
   done
 
 let text_line_roundtrip () =
@@ -361,15 +360,16 @@ let prop_decoder_never_misdecodes () =
       let bytes = Buffer.to_bytes buf in
       let len = Bytes.length bytes in
       let decode_all bytes limit =
-        let pos = ref 0 and n = ref 0 in
+        let pos = ref 0 and n = ref 0 and next = ref 0 in
         let rec go () =
           if !pos < limit then
-            match Btrace.decode_record bytes ~pos:!pos ~limit ~abs_offset:!pos with
-            | Btrace.Need_more -> `Partial !n
-            | Btrace.Decoded (_, consumed) ->
-              pos := !pos + consumed;
+            if Btrace.decode_record bytes ~pos:!pos ~limit ~abs_offset:!pos ~next == Btrace.need_more
+            then `Partial !n
+            else begin
+              pos := !next;
               incr n;
               go ()
+            end
           else `Complete !n
         in
         go ()
@@ -711,6 +711,89 @@ let with_daemon socket f =
       check_contains "daemon answers" (joined (ping_until_up socket)) {|"event": "pong"|};
       f ())
 
+(* The pong's live connection count, once it has settled at [want]: a
+   finished client's connection thread may still be winding down when the
+   next request arrives. *)
+let settled_connections socket ~want =
+  let count () =
+    let module Json = Cobra_stats.Json in
+    match Json.of_string (List.hd (Serve.request ~socket {|{"op": "ping"}|})) with
+    | Ok j -> ( match Json.member "connections" j with Some (Json.Int n) -> n | _ -> -1)
+    | Error _ -> -1
+  in
+  let rec go n =
+    let c = count () in
+    if c = want || n = 0 then c
+    else begin
+      Thread.delay 0.05;
+      go (n - 1)
+    end
+  in
+  go 100
+
+(* Connection threads are tracked only while they run: after 200
+   sequential connections only the asking one is left. *)
+let serve_connections_drain () =
+  let socket = temp_socket () in
+  with_daemon socket (fun () ->
+      for i = 1 to 200 do
+        let pong = Serve.request ~socket (Printf.sprintf {|{"op": "ping", "id": "p%d"}|} i) in
+        check_contains "sequential ping" (joined pong) {|"event": "pong"|}
+      done;
+      check Alcotest.int "live connections after 200 clients" 1
+        (settled_connections socket ~want:1))
+
+(* A client that hangs up before its answer makes the connection's writes
+   fail; the failure ends that connection only, is logged with its text,
+   and the daemon keeps answering. *)
+let serve_connection_error_logged () =
+  let socket = temp_socket () in
+  let log_lock = Mutex.create () and logged = ref [] in
+  let log line =
+    Mutex.lock log_lock;
+    logged := line :: !logged;
+    Mutex.unlock log_lock
+  in
+  let slow cfg send ?id _req =
+    Thread.delay 0.2;
+    Serve.emit_event cfg send ?id ~event:"slow" []
+  in
+  let cfg =
+    { (Serve.default_config ~socket) with Serve.jobs = 1; log = Some log; extra_ops = [ ("slow", slow) ] }
+  in
+  let server = Thread.create (fun () -> Serve.serve cfg) () in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Serve.shutdown ~socket () with _ -> ());
+      Thread.join server;
+      try Sys.remove socket with Sys_error _ -> ())
+    (fun () ->
+      ignore (ping_until_up socket);
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      let req = {|{"op": "slow"}|} ^ "\n" in
+      ignore (Unix.write_substring fd req 0 (String.length req));
+      Unix.close fd;
+      let errors () =
+        Mutex.lock log_lock;
+        let l = List.filter (fun l -> contains l {|"event": "connection_error"|}) !logged in
+        Mutex.unlock log_lock;
+        l
+      in
+      let rec wait n =
+        match errors () with
+        | [] when n > 0 ->
+          Thread.delay 0.05;
+          wait (n - 1)
+        | l -> l
+      in
+      (match wait 100 with
+      | [] -> Alcotest.fail "the failed connection left no connection_error in the log"
+      | line :: _ -> check_contains "logged exception text" line "Sys_error");
+      check_contains "daemon still answers" (joined (Serve.request ~socket {|{"op": "ping"}|}))
+        {|"event": "pong"|};
+      check Alcotest.int "failed connection released" 1 (settled_connections socket ~want:1))
+
 (* A second daemon on a live socket must refuse (naming the path) instead
    of unlinking it out from under the first. It runs on its own thread so
    that a regression fails the test instead of hanging it. *)
@@ -863,5 +946,9 @@ let () =
           Alcotest.test_case "stale socket file is replaced" `Quick serve_replaces_stale_socket;
           Alcotest.test_case "over-long request line is refused" `Quick
             serve_bounds_request_line;
+          Alcotest.test_case "connections drain after 200 clients" `Quick
+            serve_connections_drain;
+          Alcotest.test_case "connection error is logged, daemon survives" `Quick
+            serve_connection_error_logged;
         ] );
     ]
